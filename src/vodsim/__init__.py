@@ -18,16 +18,7 @@ from .analytic import (
     policy_admission_prob,
 )
 from .config import ScenarioConfig, load_config, parse_config
-from .engine import (
-    AdmissionOutcome,
-    ClusterState,
-    Event,
-    StrategySpec,
-    admit,
-    effective_gate,
-    release,
-    run,
-)
+from .engine import StrategySpec, effective_gate, run
 from .errors import ConfigurationError, InternalConsistencyError, UndefinedMetricError
 from .metrics import (
     ClassCounts,
@@ -39,8 +30,8 @@ from .metrics import (
     to_csv,
 )
 from .traffic import (
+    ArrivalStream,
     ClusterSpec,
-    SessionRequest,
     WorkloadSpec,
     build_clusters,
     build_workload,

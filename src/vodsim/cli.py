@@ -20,6 +20,7 @@ from pathlib import Path
 from .analytic import erlang_b
 from .config import (
     BOTH,
+    POINT_SEED_STRIDE,
     SWEEP_PER_CLUSTER,
     ScenarioConfig,
     load_config,
@@ -29,14 +30,9 @@ from .errors import ConfigurationError, InternalConsistencyError, UndefinedMetri
 from .metrics import RunMetrics, SweepPoint, aggregate, to_csv
 from .traffic import scale_workload
 
-# Spreads replication seeds of different sweep points apart; the offset is
-# part of the reproducibility contract, so treat it as frozen.
-_POINT_SEED_STRIDE = 10007
-
-
 def _replication_seeds(config: ScenarioConfig, point_index: int) -> list[int]:
     return [
-        config.seed + point_index * _POINT_SEED_STRIDE + r
+        config.seed + point_index * POINT_SEED_STRIDE + r
         for r in range(config.replications)
     ]
 

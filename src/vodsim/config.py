@@ -25,7 +25,7 @@ from .engine import (
     StrategySpec,
 )
 from .errors import ConfigurationError
-from .traffic import WorkloadSpec, build_workload
+from .traffic import SEED_LIMIT, WorkloadSpec, build_workload
 
 BOTH = "both"
 STRATEGY_CHOICES = (UNCONTROLLED, POLICY, BOTH)
@@ -36,7 +36,10 @@ SWEEP_GLOBAL = "global"
 SWEEP_PER_CLUSTER = "per_cluster"
 SWEEP_CHOICES = (SWEEP_GLOBAL, SWEEP_PER_CLUSTER)
 
-_MAX_SEED = 2**64
+# Spreads replication seeds of different sweep points apart: replication r
+# of point p runs with seed + p * POINT_SEED_STRIDE + r. The offset is part
+# of the reproducibility contract, so treat it as frozen.
+POINT_SEED_STRIDE = 10007
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,15 @@ class ScenarioConfig:
     sweep_mode: str = SWEEP_GLOBAL
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.warmup is None:
             object.__setattr__(self, "warmup", 0.1 * self.horizon)
+        last_seed = (
+            self.seed + (self.num_clusters - 1) * POINT_SEED_STRIDE + self.replications - 1
+        )
         checks = [
             (self.num_clusters >= 1, "num_clusters must be >= 1"),
             (self.num_partitions >= 1, "num_partitions must be >= 1"),
@@ -95,7 +105,13 @@ class ScenarioConfig:
                 f"warmup must lie in [0, horizon), got warmup={self.warmup} "
                 f"horizon={self.horizon}",
             ),
-            (0 <= self.seed < _MAX_SEED, "seed must be an unsigned 64-bit integer"),
+            (0 <= self.seed < SEED_LIMIT, "seed must be an unsigned 64-bit integer"),
+            (
+                last_seed < SEED_LIMIT,
+                f"the last replication seed, seed + (num_clusters - 1) * "
+                f"{POINT_SEED_STRIDE} + replications - 1 = {last_seed}, must be "
+                f"below 2**64",
+            ),
             (
                 self.strategy in STRATEGY_CHOICES,
                 f"strategy must be one of {STRATEGY_CHOICES}",

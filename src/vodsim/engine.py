@@ -1,14 +1,19 @@
 """Event-driven simulation of the partitioned loss server.
 
-Requests from the merged arrival stream probe the server's partitions for a
-free port; blocked and policed requests leave the system (blocked calls
-cleared, no retry). Admission strategies are pluggable: ``uncontrolled``
-probes immediately, ``policy`` first passes a per-class Bernoulli gate.
+Requests from the merged arrival stream ask the server for a free port;
+blocked and policed requests leave the system (blocked calls cleared, no
+retry). Admission strategies are pluggable: ``uncontrolled`` asks at once,
+``policy`` first passes a per-class Bernoulli gate.
 
-A probe starts at the class's home partition (class_id mod k) and proceeds
-cyclically, landing on the first partition with a free port. Events at
-equal timestamps are ordered departure-first, then by insertion sequence,
-so a port freed "now" is available to an arrival "now".
+Admission depends only on the number of free ports among the N = sum of
+C_j ports of all partitions: a request that passes the gate is blocked
+exactly when all N are busy. Which partition's port it takes changes no
+count, so the engine keeps no home partition and no probe order, and no
+metric, CSV column or CLI output ever depended on them. The server is one
+busy-port counter and a heap of departure times. A departure at the same
+time as an arrival is handled first, so a port freed "now" is available
+to an arrival "now". While all ports are busy, every arrival before the
+next departure is blocked, and the loop skips that run in one bisection.
 
 A run is strictly single-threaded and a pure function of its arguments;
 independent runs share no state and may execute concurrently.
@@ -16,15 +21,18 @@ independent runs share no state and may execute concurrently.
 
 from __future__ import annotations
 
-import heapq
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Sequence
+
+import numpy as np
 
 from .analytic import PolicyWeights
 from .errors import ConfigurationError, InternalConsistencyError
 from .metrics import ClassCounts, RunMetrics
-from .traffic import SessionRequest, WorkloadSpec, merged_arrival_stream
+from .traffic import WorkloadSpec, merged_arrival_stream
 
 UNCONTROLLED = "uncontrolled"
 POLICY = "policy"
@@ -34,76 +42,9 @@ LITERAL = "literal"
 MAX_NORMALIZED = "max_normalized"
 SCALINGS = (LITERAL, MAX_NORMALIZED)
 
-DEPARTURE = 0
-ARRIVAL = 1
-
 # XORed into the run seed for the gate generator, so policy coin flips are
 # decorrelated from the arrival stream drawn under the same seed.
 _GATE_SEED_MIX = 0x9E3779B97F4A7C15
-
-
-class Event(NamedTuple):
-    """One entry of the event queue; orders by (time, kind, seq).
-
-    Departures carry the freed partition and the departing class;
-    arrivals carry the request. kind makes simultaneous departures sort
-    before simultaneous arrivals, seq keeps insertion (FIFO) order within
-    a kind. seq is unique, so comparison never reaches the payload.
-    """
-
-    time: float
-    kind: int
-    seq: int
-    partition: int = -1
-    class_id: int = -1
-    request: Optional[SessionRequest] = None
-
-
-@dataclass(slots=True)
-class ClusterState:
-    """Live occupancy of the k partitions."""
-
-    capacities: tuple[int, ...]
-    occupied: list[int] = None  # type: ignore[assignment]
-    free_ports: int = 0
-
-    def __post_init__(self) -> None:
-        self.capacities = tuple(self.capacities)
-        if len(self.capacities) < 1:
-            raise ValueError("at least one partition is required")
-        for j, c in enumerate(self.capacities):
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
-        if self.occupied is None:
-            self.occupied = [0] * len(self.capacities)
-        else:
-            self.occupied = list(self.occupied)
-            if len(self.occupied) != len(self.capacities):
-                raise ValueError("occupied and capacities must have equal length")
-            for j, (q, c) in enumerate(zip(self.occupied, self.capacities)):
-                if not isinstance(q, int) or q < 0 or q > c:
-                    raise ValueError(f"occupied[{j}] = {q!r} outside 0..{c}")
-        self.free_ports = sum(self.capacities) - sum(self.occupied)
-
-
-@dataclass(frozen=True, slots=True)
-class AdmissionOutcome:
-    """Result of one admission decision.
-
-    kind is admitted, policed, or blocked; partition names the partition
-    that accepted the request and is set exactly when kind is admitted.
-    """
-
-    kind: str
-    partition: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.kind == "admitted") != (self.partition is not None):
-            raise ValueError("partition must be set exactly for admitted outcomes")
-
-
-POLICED = AdmissionOutcome("policed")
-BLOCKED = AdmissionOutcome("blocked")
 
 
 def effective_gate(weights: PolicyWeights, class_id: int, scaling: str = LITERAL) -> float:
@@ -163,65 +104,45 @@ class StrategySpec:
 UNCONTROLLED_STRATEGY = StrategySpec(UNCONTROLLED)
 
 
-def admit(
-    state: ClusterState,
-    request: SessionRequest,
-    strategy: StrategySpec,
-    rng: random.Random,
-) -> AdmissionOutcome:
-    """Decide one request: gate it (policy mode), then probe for a free port.
+def _pooled_admission(
+    times: list[float], holds: list[float], ports: int, horizon: float
+) -> bytearray:
+    """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
 
-    The probe starts at home = class_id mod k and walks the partitions
-    cyclically; the request is admitted at the first partition with a free
-    port (its occupancy incremented), and blocked if all k are full. A
-    policed request never touches the state and consumes exactly one draw
-    from the gate generator.
+    Arrival i is admitted, and holds a port for ``holds[i]``, when a port is
+    free once every departure at or before ``times[i]`` has left. While all
+    ports are busy, every arrival before the next departure is blocked, so
+    that run is skipped in one bisection. Departures are then drained up to
+    ``horizon`` for the final occupancy check.
     """
-    if strategy.mode == POLICY:
-        gates = strategy._gates
-        if gates is None:
-            raise ConfigurationError("policy strategy has no weights")
-        try:
-            gate = gates[request.class_id]
-        except IndexError:
-            raise ValueError(
-                f"class_id {request.class_id} outside 0..{len(gates) - 1}"
-            ) from None
-        if rng.random() >= gate:
-            return POLICED
+    n = len(times)
+    admitted = bytearray(n)
+    departures: list[float] = []
+    busy = 0
+    i = 0
+    while i < n:
+        t = times[i]
+        while departures and departures[0] <= t:
+            heappop(departures)
+            busy -= 1
+        if busy < ports:
+            heappush(departures, t + holds[i])
+            busy += 1
+            admitted[i] = 1
+            i += 1
+        elif departures:
+            i = bisect_left(times, departures[0], i + 1)
+        else:  # no ports at all
+            break
 
-    if state.free_ports == 0:
-        return BLOCKED
-    capacities = state.capacities
-    occupied = state.occupied
-    k = len(capacities)
-    home = request.class_id % k
-    for step in range(k):
-        j = home + step
-        if j >= k:
-            j -= k
-        if occupied[j] < capacities[j]:
-            occupied[j] += 1
-            state.free_ports -= 1
-            return AdmissionOutcome("admitted", j)
-    raise InternalConsistencyError(
-        f"free_ports={state.free_ports} but every partition probe failed"
-    )
-
-
-def release(state: ClusterState, partition_index: int) -> ClusterState:
-    """Free one port in the given partition (a session departed). Mutates state."""
-    if not 0 <= partition_index < len(state.occupied):
-        raise ValueError(
-            f"partition_index {partition_index} outside 0..{len(state.occupied) - 1}"
-        )
-    if state.occupied[partition_index] < 1:
+    while departures and departures[0] <= horizon:
+        heappop(departures)
+        busy -= 1
+    if busy != len(departures):
         raise InternalConsistencyError(
-            f"release on empty partition {partition_index}: departure without admission"
+            "final occupancy inconsistent with outstanding departures"
         )
-    state.occupied[partition_index] -= 1
-    state.free_ports += 1
-    return state
+    return admitted
 
 
 def run(
@@ -236,9 +157,10 @@ def run(
 
     The seed drives everything: the arrival stream is regenerated from the
     workload with this seed substituted, and policy gate draws come from an
-    independently derived generator, so uncontrolled and policy runs at the
-    same seed see the same arrivals. Counters only include requests
-    arriving at or after warmup; earlier requests still evolve the state.
+    independently derived generator, one draw per arrival in arrival order,
+    so uncontrolled and policy runs at the same seed see the same arrivals.
+    Counters only include requests arriving at or after warmup; earlier
+    requests still evolve the state.
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
@@ -247,66 +169,42 @@ def run(
             f"policy weights cover {len(strategy.weights)} classes but the "
             f"workload has {len(workload.clusters)}"
         )
-    state = ClusterState(tuple(capacities))
+    if len(capacities) < 1:
+        raise ValueError("at least one partition is required")
+    for j, c in enumerate(capacities):
+        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
+
     stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
-    gate_rng = random.Random(seed ^ _GATE_SEED_MIX)
-
-    num_classes = len(workload.clusters)
-    offered = [0] * num_classes
-    admitted = [0] * num_classes
-    policed = [0] * num_classes
-    blocked = [0] * num_classes
-
-    departures: list[Event] = []
-    push, pop = heapq.heappush, heapq.heappop
-    seq = 0
-    for req in stream:
-        t = req.arrival_time
-        while departures and departures[0][0] <= t:
-            release(state, pop(departures).partition)
-        cls = req.class_id
-        counted = t >= warmup
-        if counted:
-            offered[cls] += 1
-        outcome = admit(state, req, strategy, gate_rng)
-        kind = outcome.kind
-        if kind == "admitted":
-            seq += 1
-            push(
-                departures,
-                Event(t + req.holding_time, DEPARTURE, seq, outcome.partition, cls),
-            )
-            if counted:
-                admitted[cls] += 1
-            if __debug__:
-                j = outcome.partition
-                if not 0 <= state.occupied[j] <= state.capacities[j]:
-                    raise InternalConsistencyError(
-                        f"occupancy bound violated at partition {j}"
-                    )
-        elif counted:
-            if kind == "policed":
-                policed[cls] += 1
-            else:
-                blocked[cls] += 1
-
-    while departures and departures[0][0] <= horizon:
-        release(state, pop(departures).partition)
-    if __debug__ and sum(state.occupied) != len(departures):
-        raise InternalConsistencyError(
-            "final occupancy inconsistent with outstanding departures"
-        )
-
-    per_class = tuple(
-        ClassCounts(offered[c], admitted[c], policed[c], blocked[c])
-        for c in range(num_classes)
+    times, holds, classes = stream.time, stream.hold, stream.class_id
+    passed = np.ones(len(stream), dtype=bool)
+    if strategy.mode == POLICY:
+        draw = random.Random(seed ^ _GATE_SEED_MIX).random
+        gates = np.array(strategy._gates)[classes]
+        passed = np.array([draw() for _ in range(len(stream))]) < gates
+        times, holds = times[passed], holds[passed]
+    admitted = np.zeros(len(stream), dtype=bool)
+    admitted[passed] = np.frombuffer(
+        _pooled_admission(times.tolist(), holds.tolist(), sum(capacities), horizon),
+        dtype=bool,
     )
+
+    counted = stream.time >= warmup
+    num_classes = len(workload.clusters)
+
+    def per_class(mask: np.ndarray) -> list[int]:
+        return np.bincount(classes[counted & mask], minlength=num_classes).tolist()
+
+    offered = per_class(counted)
+    admits = per_class(admitted)
+    policed = per_class(~passed)
+    blocked = per_class(passed & ~admitted)
     return RunMetrics(
         offered=sum(offered),
-        admitted=sum(admitted),
+        admitted=sum(admits),
         policed=sum(policed),
         blocked=sum(blocked),
-        per_class=per_class,
+        per_class=tuple(map(ClassCounts, offered, admits, policed, blocked)),
         horizon=horizon,
         warmup=warmup,
         seed=seed,

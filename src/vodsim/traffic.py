@@ -4,7 +4,9 @@ A workload is a set of client clusters, each offering sessions at a rate
 derived from its traffic rate in Mb/s and the bandwidth one admitted stream
 consumes. Arrivals are Poisson per cluster (inverse-CDF exponential gaps),
 holding times are exponential with a per-cluster mean, and the merged
-stream is the time-sorted superposition of all clusters.
+stream is the time-sorted superposition of all clusters, returned as an
+:class:`ArrivalStream` of parallel numpy arrays (arrival time, holding
+time, class id) rather than one object per request.
 
 All randomness flows from explicit seeds. Generator state is single-owner:
 one stream is advanced by one caller at a time; distinct seeds may run
@@ -19,15 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
-_MAX_SEED = 2**64
+# Seeds are unsigned 64-bit integers: every seed, derived ones included,
+# must lie below this.
+SEED_LIMIT = 2**64
 
 # SeedSequence stream tags, so holding-mean draws and arrival draws never
 # share a generator even under the same base seed.
 _HOLD_DRAW_TAG = 0
 _ARRIVAL_TAG = 1
-
-STEADY = "steady"
-INTERACTIVE = "interactive"
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class WorkloadSpec:
                 f"holding bounds must satisfy 0 < min <= max, "
                 f"got [{self.min_hold}, {self.max_hold}]"
             )
-        if not 0 <= self.seed < _MAX_SEED:
+        if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         for position, c in enumerate(self.clusters):
             if c.class_id != position:
@@ -110,20 +111,21 @@ class WorkloadSpec:
         )
 
 
-@dataclass(slots=True)
-class SessionRequest:
-    """One timed request: when it arrives, how long it holds a port if admitted."""
+@dataclass(frozen=True, eq=False)
+class ArrivalStream:
+    """The merged arrivals of one run, as parallel arrays sorted by time.
 
-    class_id: int
-    arrival_time: float
-    holding_time: float
-    kind: str = STEADY
+    Arrival i comes at ``time[i]``, holds a port for ``hold[i]`` seconds if
+    admitted, and belongs to class ``class_id[i]``. A cluster's steady and
+    interactive arrivals share its class id and are not told apart.
+    """
 
-    def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
-        if not self.holding_time > 0:
-            raise ValueError(f"holding_time must be > 0, got {self.holding_time}")
+    time: np.ndarray
+    hold: np.ndarray
+    class_id: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.time)
 
 
 def request_rate(traffic_rate: float, per_stream_bandwidth: float) -> float:
@@ -278,10 +280,8 @@ def _holding_times(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
     return -mean * np.log1p(-_uniform_open(rng, n))
 
 
-def merged_arrival_stream(
-    spec: WorkloadSpec, horizon: float
-) -> list[SessionRequest]:
-    """Superpose all cluster streams into one time-sorted request sequence.
+def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
+    """Superpose all cluster streams into one time-sorted arrival stream.
 
     Each cluster draws from its own generator, spawned deterministically
     from the workload seed, so the merged stream is a pure function of
@@ -289,39 +289,27 @@ def merged_arrival_stream(
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    if not spec.clusters:
-        return []
 
     root = np.random.SeedSequence([_ARRIVAL_TAG, spec.seed])
     children = root.spawn(len(spec.clusters))
 
-    times_blocks: list[np.ndarray] = []
-    holds_blocks: list[np.ndarray] = []
-    class_blocks: list[np.ndarray] = []
-    kind_blocks: list[np.ndarray] = []
+    # an empty first block lets a workload without arrivals take the same path
+    times_blocks: list[np.ndarray] = [np.empty(0)]
+    holds_blocks: list[np.ndarray] = [np.empty(0)]
+    class_blocks: list[int] = [0]
     for cluster, child in zip(spec.clusters, children):
         rng = np.random.default_rng(child)
-        for kind_code, rate in ((0, cluster.request_rate), (1, cluster.interactive_rate)):
+        for rate in (cluster.request_rate, cluster.interactive_rate):
             times = _arrival_times(rng, rate, horizon)
             if len(times) == 0:
                 continue
             times_blocks.append(times)
             holds_blocks.append(_holding_times(rng, cluster.mean_holding, len(times)))
-            class_blocks.append(np.full(len(times), cluster.class_id, dtype=np.int64))
-            kind_blocks.append(np.full(len(times), kind_code, dtype=np.int64))
-
-    if not times_blocks:
-        return []
+            class_blocks.append(cluster.class_id)
 
     all_times = np.concatenate(times_blocks)
     order = np.argsort(all_times, kind="stable")
-    times_list = all_times[order].tolist()
-    holds_list = np.concatenate(holds_blocks)[order].tolist()
-    class_list = np.concatenate(class_blocks)[order].tolist()
-    kind_list = np.concatenate(kind_blocks)[order].tolist()
-
-    kinds = (STEADY, INTERACTIVE)
-    return [
-        SessionRequest(c, t, h, kinds[k])
-        for c, t, h, k in zip(class_list, times_list, holds_list, kind_list)
-    ]
+    class_ids = np.repeat(class_blocks, [len(t) for t in times_blocks])
+    return ArrivalStream(
+        all_times[order], np.concatenate(holds_blocks)[order], class_ids[order]
+    )

@@ -1,0 +1,257 @@
+"""The per-partition event loop that ``vodsim.engine.run`` replaced, kept as
+a differential oracle.
+
+Each request is one object; a probe starts at the class's home partition
+(class_id mod k) and walks the partitions cyclically to the first free
+port. Departures are events carrying the partition they free, and events
+at equal times order departure-first, then by insertion sequence.
+``reference_run`` must return the same ``RunMetrics`` as ``engine.run``:
+the pooled engine rests on admission depending only on the number of
+free ports, which this loop does not assume.
+"""
+
+from __future__ import annotations
+
+import heapq
+import random
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional, Sequence
+
+from vodsim.engine import _GATE_SEED_MIX, POLICY, StrategySpec
+from vodsim.errors import ConfigurationError, InternalConsistencyError
+from vodsim.metrics import ClassCounts, RunMetrics
+from vodsim.traffic import WorkloadSpec, merged_arrival_stream
+
+DEPARTURE = 0
+ARRIVAL = 1
+
+
+@dataclass(slots=True)
+class SessionRequest:
+    """One timed request: when it arrives, how long it holds a port if admitted."""
+
+    class_id: int
+    arrival_time: float
+    holding_time: float
+
+    def __post_init__(self) -> None:
+        if self.arrival_time < 0:
+            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
+        if not self.holding_time > 0:
+            raise ValueError(f"holding_time must be > 0, got {self.holding_time}")
+
+
+class Event(NamedTuple):
+    """One entry of the event queue; orders by (time, kind, seq).
+
+    Departures carry the freed partition and the departing class;
+    arrivals carry the request. kind makes simultaneous departures sort
+    before simultaneous arrivals, seq keeps insertion (FIFO) order within
+    a kind. seq is unique, so comparison never reaches the payload.
+    """
+
+    time: float
+    kind: int
+    seq: int
+    partition: int = -1
+    class_id: int = -1
+    request: Optional[SessionRequest] = None
+
+
+@dataclass(slots=True)
+class ClusterState:
+    """Live occupancy of the k partitions."""
+
+    capacities: tuple[int, ...]
+    occupied: list[int] = None  # type: ignore[assignment]
+    free_ports: int = 0
+
+    def __post_init__(self) -> None:
+        self.capacities = tuple(self.capacities)
+        if len(self.capacities) < 1:
+            raise ValueError("at least one partition is required")
+        for j, c in enumerate(self.capacities):
+            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+                raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
+        if self.occupied is None:
+            self.occupied = [0] * len(self.capacities)
+        else:
+            self.occupied = list(self.occupied)
+            if len(self.occupied) != len(self.capacities):
+                raise ValueError("occupied and capacities must have equal length")
+            for j, (q, c) in enumerate(zip(self.occupied, self.capacities)):
+                if not isinstance(q, int) or q < 0 or q > c:
+                    raise ValueError(f"occupied[{j}] = {q!r} outside 0..{c}")
+        self.free_ports = sum(self.capacities) - sum(self.occupied)
+
+
+@dataclass(frozen=True, slots=True)
+class AdmissionOutcome:
+    """Result of one admission decision.
+
+    kind is admitted, policed, or blocked; partition names the partition
+    that accepted the request and is set exactly when kind is admitted.
+    """
+
+    kind: str
+    partition: int | None = None
+
+    def __post_init__(self) -> None:
+        if (self.kind == "admitted") != (self.partition is not None):
+            raise ValueError("partition must be set exactly for admitted outcomes")
+
+
+POLICED = AdmissionOutcome("policed")
+BLOCKED = AdmissionOutcome("blocked")
+
+
+def admit(
+    state: ClusterState,
+    request: SessionRequest,
+    strategy: StrategySpec,
+    rng: random.Random,
+) -> AdmissionOutcome:
+    """Decide one request: gate it (policy mode), then probe for a free port.
+
+    The probe starts at home = class_id mod k and walks the partitions
+    cyclically; the request is admitted at the first partition with a free
+    port (its occupancy incremented), and blocked if all k are full. A
+    policed request never touches the state and consumes exactly one draw
+    from the gate generator.
+    """
+    if strategy.mode == POLICY:
+        gates = strategy._gates
+        if gates is None:
+            raise ConfigurationError("policy strategy has no weights")
+        try:
+            gate = gates[request.class_id]
+        except IndexError:
+            raise ValueError(
+                f"class_id {request.class_id} outside 0..{len(gates) - 1}"
+            ) from None
+        if rng.random() >= gate:
+            return POLICED
+
+    if state.free_ports == 0:
+        return BLOCKED
+    capacities = state.capacities
+    occupied = state.occupied
+    k = len(capacities)
+    home = request.class_id % k
+    for step in range(k):
+        j = home + step
+        if j >= k:
+            j -= k
+        if occupied[j] < capacities[j]:
+            occupied[j] += 1
+            state.free_ports -= 1
+            return AdmissionOutcome("admitted", j)
+    raise InternalConsistencyError(
+        f"free_ports={state.free_ports} but every partition probe failed"
+    )
+
+
+def release(state: ClusterState, partition_index: int) -> ClusterState:
+    """Free one port in the given partition (a session departed). Mutates state."""
+    if not 0 <= partition_index < len(state.occupied):
+        raise ValueError(
+            f"partition_index {partition_index} outside 0..{len(state.occupied) - 1}"
+        )
+    if state.occupied[partition_index] < 1:
+        raise InternalConsistencyError(
+            f"release on empty partition {partition_index}: departure without admission"
+        )
+    state.occupied[partition_index] -= 1
+    state.free_ports += 1
+    return state
+
+
+def request_list(workload: WorkloadSpec, horizon: float) -> list[SessionRequest]:
+    """The merged arrival stream as one request object per arrival."""
+    s = merged_arrival_stream(workload, horizon)
+    return [
+        SessionRequest(c, t, h)
+        for c, t, h in zip(s.class_id.tolist(), s.time.tolist(), s.hold.tolist())
+    ]
+
+
+def reference_run(
+    workload: WorkloadSpec,
+    capacities: Sequence[int],
+    strategy: StrategySpec,
+    horizon: float,
+    warmup: float,
+    seed: int,
+) -> RunMetrics:
+    """The per-request, per-partition form of ``vodsim.engine.run``."""
+    if not 0 <= warmup < horizon:
+        raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
+    if strategy.mode == POLICY and len(strategy.weights) < len(workload.clusters):
+        raise ConfigurationError(
+            f"policy weights cover {len(strategy.weights)} classes but the "
+            f"workload has {len(workload.clusters)}"
+        )
+    state = ClusterState(tuple(capacities))
+    stream = request_list(replace(workload, seed=seed), horizon)
+    gate_rng = random.Random(seed ^ _GATE_SEED_MIX)
+
+    num_classes = len(workload.clusters)
+    offered = [0] * num_classes
+    admitted = [0] * num_classes
+    policed = [0] * num_classes
+    blocked = [0] * num_classes
+
+    departures: list[Event] = []
+    push, pop = heapq.heappush, heapq.heappop
+    seq = 0
+    for req in stream:
+        t = req.arrival_time
+        while departures and departures[0][0] <= t:
+            release(state, pop(departures).partition)
+        cls = req.class_id
+        counted = t >= warmup
+        if counted:
+            offered[cls] += 1
+        outcome = admit(state, req, strategy, gate_rng)
+        kind = outcome.kind
+        if kind == "admitted":
+            seq += 1
+            push(
+                departures,
+                Event(t + req.holding_time, DEPARTURE, seq, outcome.partition, cls),
+            )
+            if counted:
+                admitted[cls] += 1
+            if __debug__:
+                j = outcome.partition
+                if not 0 <= state.occupied[j] <= state.capacities[j]:
+                    raise InternalConsistencyError(
+                        f"occupancy bound violated at partition {j}"
+                    )
+        elif counted:
+            if kind == "policed":
+                policed[cls] += 1
+            else:
+                blocked[cls] += 1
+
+    while departures and departures[0][0] <= horizon:
+        release(state, pop(departures).partition)
+    if __debug__ and sum(state.occupied) != len(departures):
+        raise InternalConsistencyError(
+            "final occupancy inconsistent with outstanding departures"
+        )
+
+    per_class = tuple(
+        ClassCounts(offered[c], admitted[c], policed[c], blocked[c])
+        for c in range(num_classes)
+    )
+    return RunMetrics(
+        offered=sum(offered),
+        admitted=sum(admitted),
+        policed=sum(policed),
+        blocked=sum(blocked),
+        per_class=per_class,
+        horizon=horizon,
+        warmup=warmup,
+        seed=seed,
+    )

@@ -6,6 +6,7 @@ later calibration. The statistical criteria use frozen seeds, so their
 outcomes are deterministic.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -28,6 +29,10 @@ from vodsim.config import parse_config
 from vodsim.engine import UNCONTROLLED_STRATEGY, run
 from vodsim.metrics import aggregate
 from vodsim.traffic import ClusterSpec, WorkloadSpec, merged_arrival_stream
+
+
+# SHA-256 of the default-scenario `vodsim sweep` CSV (perfbench/README.md)
+REFERENCE_SWEEP_SHA256 = "9b3826716b17b9a1ddf56a918ddbc84275aa65b1fcedcd099559b99474fb127d"
 
 
 @contextmanager
@@ -90,7 +95,7 @@ def test_criterion_4_interarrival_sums_are_erlang():
         start = time.perf_counter()
         workload = replace(two_per_second_cluster(), seed=505)
         stream = merged_arrival_stream(workload, 26_000.0)
-        gaps = np.diff([r.arrival_time for r in stream], prepend=0.0)
+        gaps = np.diff(stream.time, prepend=0.0)
         n = 10_000
         for k in (2, 5):
             assert len(gaps) >= k * n
@@ -109,7 +114,7 @@ def test_criterion_5_superposition_is_poisson():
         total_rate = workload.total_arrival_rate()
         n = 10_000
         stream = merged_arrival_stream(workload, (n + 1_000) / total_rate)
-        gaps = np.diff([r.arrival_time for r in stream], prepend=0.0)[:n]
+        gaps = np.diff(stream.time, prepend=0.0)[:n]
         assert len(gaps) == n
         result = scipy.stats.kstest(gaps, scipy.stats.expon(scale=1 / total_rate).cdf)
         assert result.pvalue > 0.01, f"p={result.pvalue}"
@@ -200,6 +205,8 @@ def test_criterion_7_cli_sweep_is_byte_deterministic(tmp_path):
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].split(b"\n", 1)[0].startswith(b"traffic_rate_mbps,")
+        # golden bytes of the reference sweep: a refactor must leave them unchanged
+        assert hashlib.sha256(outputs[0]).hexdigest() == REFERENCE_SWEEP_SHA256
 
 
 def test_criterion_8_empty_config_is_reference_scenario():

@@ -1,5 +1,8 @@
 """Tests for sweep orchestration, analytic comparison, and the CLI surface."""
 
+import hashlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -23,6 +26,19 @@ horizon = 50
 replications = 2
 seed = 5
 """
+
+
+# Reference scenario through the paths the default sweep leaves out: the
+# capacity-proportional preset, max-normalized gates, interactive streams,
+# per-cluster points.
+GOLDEN_VARIANT = """
+policy_preset = capacity_proportional
+weight_scaling = max_normalized
+interactive_rate = 0.05
+sweep_mode = per_cluster
+replications = 2
+"""
+GOLDEN_VARIANT_SHA256 = "1ea51a215bfec89c3cbc64763e0cf37210f5c8b47cfd27f5229f8425b74a7436"
 
 
 def small_config(**overrides):
@@ -87,6 +103,13 @@ class TestRunSweep:
         for p in run_sweep(small_config()):
             for m in p.replications:
                 assert m.offered == m.admitted + m.policed + m.blocked
+
+    def test_golden_variant_digest(self, tmp_path):
+        cfg = tmp_path / "variant.cfg"
+        cfg.write_text(GOLDEN_VARIANT)
+        out = tmp_path / "variant.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VARIANT_SHA256
 
 
 class TestRunScenario:
@@ -220,6 +243,27 @@ class TestMainCli:
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "per_stream_bandwidth = inf\n",
+            "max_rate = inf\n",
+            "min_hold = inf\nmax_hold = inf\n",
+            "seed = 18446744073709551615\nreplications = 2\n",
+        ],
+        ids=["bandwidth-inf", "max-rate-inf", "holds-inf", "seed-past-2-64"],
+    )
+    def test_unusable_values_exit_2_without_traceback(self, tmp_path, text):
+        result = subprocess.run(
+            [sys.executable, "-m", "vodsim", "run", "--config",
+             self.write_config(tmp_path, text)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "configuration error" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(config):

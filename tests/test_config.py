@@ -85,6 +85,18 @@ class TestParseErrors:
         with pytest.raises(ConfigurationError, match="warmup"):
             parse_config("horizon = 100\nwarmup = 100\n")
 
+    def test_last_replication_seed_must_fit_64_bits(self):
+        # defaults: 30 points, 20 replications
+        limit = 2**64 - 1 - 29 * 10007 - 19
+        assert parse_config(f"seed = {limit}").seed == limit
+        with pytest.raises(ConfigurationError, match="last replication seed"):
+            parse_config(f"seed = {limit + 1}")
+
+    def test_non_finite_floats_rejected(self):
+        for text in ("horizon = nan", "interactive_rate = inf", "min_rate = -inf"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                parse_config(text)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="seed"):
             parse_config("seed = -1\n")

@@ -1,26 +1,34 @@
-"""Tests for admission, release, strategies, and full simulation runs."""
+"""Tests for strategies and full simulation runs, and for the per-partition
+reference engine that ``run`` is checked against."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vodsim.analytic import PolicyWeights, erlang_b
-from vodsim.engine import (
+from reference_engine import (
     BLOCKED,
     POLICED,
-    UNCONTROLLED_STRATEGY,
     AdmissionOutcome,
     ClusterState,
     Event,
-    StrategySpec,
+    SessionRequest,
     admit,
-    effective_gate,
+    reference_run,
     release,
+)
+from vodsim.analytic import PolicyWeights, erlang_b
+from vodsim.engine import (
+    UNCONTROLLED_STRATEGY,
+    StrategySpec,
+    _pooled_admission,
+    effective_gate,
     run,
 )
 from vodsim.errors import ConfigurationError, InternalConsistencyError
 from vodsim.metrics import blocking_probability
-from vodsim.traffic import ClusterSpec, SessionRequest, WorkloadSpec
+from vodsim.traffic import ClusterSpec, WorkloadSpec
 
 
 def make_workload(rate, mean_hold, *, num_clusters=1, interactive=0.0, seed=0):
@@ -236,6 +244,19 @@ class TestRun:
         with pytest.raises(ValueError):
             run(w, [1], UNCONTROLLED_STRATEGY, 100.0, 100.0, seed=0)
 
+    def test_rejects_negative_capacity(self):
+        with pytest.raises(ValueError, match="capacity"):
+            run(make_workload(1.0, 1.0), [2, -1], UNCONTROLLED_STRATEGY, 10.0, 0.0, 0)
+
+    def test_rejects_non_integer_capacity(self):
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="capacity"):
+                run(make_workload(1.0, 1.0), [bad], UNCONTROLLED_STRATEGY, 10.0, 0.0, 0)
+
+    def test_rejects_no_partitions(self):
+        with pytest.raises(ValueError, match="partition"):
+            run(make_workload(1.0, 1.0), [], UNCONTROLLED_STRATEGY, 10.0, 0.0, 0)
+
     def test_weights_must_cover_all_classes(self):
         w = make_workload(1.0, 1.0, num_clusters=3)
         short = StrategySpec("policy", PolicyWeights((0.5, 0.5)))
@@ -277,3 +298,73 @@ class TestRun:
         m_without = run(without, [1], UNCONTROLLED_STRATEGY, 2_000.0, 100.0, seed=3)
         assert m_with.offered > m_without.offered
         assert blocking_probability(m_with) > blocking_probability(m_without)
+
+
+class TestPooledAdmission:
+    def test_blocked_run_is_skipped_to_the_next_departure(self):
+        times = [0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0]
+        holds = [3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        # port busy over [0, 3): arrivals at 1, 1, 2 are blocked; the one at
+        # 3 takes it, the second at 3 is blocked, the one at 4 takes it again
+        assert list(_pooled_admission(times, holds, 1, 10.0)) == [1, 0, 0, 0, 1, 0, 1]
+
+    def test_zero_ports_block_everything(self):
+        assert list(_pooled_admission([0.0, 1.0], [1.0, 1.0], 0, 10.0)) == [0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 20), st.integers(1, 5)), max_size=40),
+        st.integers(0, 4),
+    )
+    def test_integer_times_match_a_direct_count(self, arrivals, ports):
+        # with integer times most arrivals tie with a departure; a port
+        # whose session ends at t must be free for an arrival at t
+        arrivals.sort(key=lambda a: a[0])
+        times = [float(t) for t, _ in arrivals]
+        holds = [float(h) for _, h in arrivals]
+        flags = _pooled_admission(times, holds, ports, 30.0)
+        ends = []
+        for i, (t, h) in enumerate(zip(times, holds)):
+            free = sum(1 for e in ends if e > t) < ports
+            assert flags[i] == free
+            if free:
+                ends.append(t + h)
+
+
+@st.composite
+def small_runs(draw):
+    """A small workload, server, strategy and window for the differential test."""
+    k = draw(st.integers(1, 4))
+    clusters = []
+    for c in range(k):
+        rate = draw(st.sampled_from([0.0, 0.5, 2.0, 6.0]))
+        clusters.append(
+            ClusterSpec(
+                c,
+                rate,
+                rate,
+                draw(st.sampled_from([0.5, 1.0, 3.0])),
+                draw(st.sampled_from([0.0, 0.0, 1.5])),
+            )
+        )
+    workload = WorkloadSpec(tuple(clusters), 1.0, 0.5, 3.0, 0)
+    capacities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    # max_normalized gates come out as 0, 1 or 0.3 (literal: the weights)
+    raw = draw(st.lists(st.sampled_from([0.0, 1.0, 0.3]), min_size=k, max_size=k))
+    raw[draw(st.integers(0, k - 1))] = 1.0
+    if draw(st.booleans()):
+        strategy = UNCONTROLLED_STRATEGY
+    else:
+        weights = PolicyWeights(tuple(g / sum(raw) for g in raw))
+        scaling = draw(st.sampled_from(["literal", "max_normalized"]))
+        strategy = StrategySpec("policy", weights, scaling)
+    horizon = draw(st.sampled_from([5.0, 30.0]))
+    warmup = draw(st.sampled_from([0.0, 0.4 * horizon]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return workload, capacities, strategy, horizon, warmup, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_runs())
+def test_run_equals_reference_engine(case):
+    assert run(*case) == reference_run(*case)

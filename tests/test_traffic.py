@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from reference_engine import SessionRequest
 from vodsim.traffic import (
-    INTERACTIVE,
-    STEADY,
     ClusterSpec,
-    SessionRequest,
     WorkloadSpec,
     build_clusters,
     build_workload,
@@ -130,7 +128,8 @@ class TestMergedStream:
 
     def test_empty_cluster_list(self):
         spec = WorkloadSpec((), 1.0, 1.0, 2.0, 0)
-        assert merged_arrival_stream(spec, 100.0) == []
+        stream = merged_arrival_stream(spec, 100.0)
+        assert len(stream) == len(stream.hold) == len(stream.class_id) == 0
 
     def test_superposed_rate_within_three_sigma(self):
         c0 = ClusterSpec(0, 3.0, 3.0, 2.0)
@@ -145,36 +144,44 @@ class TestMergedStream:
         spec = single_cluster_workload(2.0, 5.0, seed=55)
         a = merged_arrival_stream(spec, 500.0)
         b = merged_arrival_stream(spec, 500.0)
-        assert [(r.class_id, r.arrival_time, r.holding_time, r.kind) for r in a] == [
-            (r.class_id, r.arrival_time, r.holding_time, r.kind) for r in b
-        ]
+        for name in ("time", "hold", "class_id"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seeds_differ(self):
         a = merged_arrival_stream(single_cluster_workload(2.0, 5.0, seed=1), 100.0)
         b = merged_arrival_stream(single_cluster_workload(2.0, 5.0, seed=2), 100.0)
-        assert [r.arrival_time for r in a] != [r.arrival_time for r in b]
+        assert a.time.tolist() != b.time.tolist()
 
     def test_sorted_and_within_horizon(self):
         spec = single_cluster_workload(10.0, 1.0, seed=3)
         stream = merged_arrival_stream(spec, 200.0)
-        times = [r.arrival_time for r in stream]
+        times = stream.time.tolist()
         assert times == sorted(times)
         assert all(0 <= t < 200.0 for t in times)
 
     def test_holding_times_positive_and_finite(self):
         spec = single_cluster_workload(20.0, 0.01, seed=4)
         stream = merged_arrival_stream(spec, 500.0)
-        assert stream
-        assert all(r.holding_time > 0 and math.isfinite(r.holding_time) for r in stream)
+        assert len(stream) > 0
+        assert np.all(stream.hold > 0) and np.all(np.isfinite(stream.hold))
 
     def test_interactive_stream_disabled_by_default(self):
         spec = single_cluster_workload(5.0, 1.0, seed=5)
-        assert all(r.kind == STEADY for r in merged_arrival_stream(spec, 100.0))
+        assert spec.clusters[0].interactive_rate == 0.0
+        stream = merged_arrival_stream(spec, 100.0)
+        assert abs(len(stream) - 500) <= 3 * math.sqrt(500)
 
     def test_interactive_stream_present_when_enabled(self):
-        spec = single_cluster_workload(5.0, 1.0, seed=5, interactive=2.0)
-        kinds = {r.kind for r in merged_arrival_stream(spec, 200.0)}
-        assert kinds == {STEADY, INTERACTIVE}
+        # the steady arrivals are drawn first from the cluster's generator,
+        # so enabling the interactive stream adds arrivals and moves none
+        steady = merged_arrival_stream(single_cluster_workload(5.0, 1.0, seed=5), 200.0)
+        both = merged_arrival_stream(
+            single_cluster_workload(5.0, 1.0, seed=5, interactive=2.0), 200.0
+        )
+        assert np.isin(steady.time, both.time).all()
+        extra = len(both) - len(steady)
+        assert abs(extra - 400) <= 3 * math.sqrt(400)
+        assert set(both.class_id.tolist()) == {0}
 
     def test_rejects_nonpositive_horizon(self):
         spec = single_cluster_workload(1.0, 1.0, seed=0)
@@ -188,8 +195,7 @@ class TestMergedStream:
         c1 = ClusterSpec(1, 6.0, 6.0, 1.0)
         spec = WorkloadSpec((c0, c1), 1.0, 1.0, 1.0, 11)
         stream = merged_arrival_stream(spec, 400.0)
-        times = np.array([r.arrival_time for r in stream])
-        gaps = np.diff(times, prepend=0.0)
+        gaps = np.diff(stream.time, prepend=0.0)
         result = scipy.stats.kstest(gaps, scipy.stats.expon(scale=1 / 8.0).cdf)
         assert result.pvalue > 0.01
 
@@ -256,6 +262,8 @@ class TestBuildAndScaleWorkload:
 
 
 class TestSessionRequest:
+    """The request object of the reference engine in tests/."""
+
     def test_rejects_nonpositive_holding(self):
         with pytest.raises(ValueError):
             SessionRequest(0, 1.0, 0.0)
@@ -269,8 +277,7 @@ def test_erlang_sum_of_k_interarrivals_smoke():
     """Sums of K consecutive gaps from one stream follow the K-stage Erlang law."""
     spec = single_cluster_workload(2.0, 1.0, seed=21)
     stream = merged_arrival_stream(spec, 3_000.0)
-    times = np.array([r.arrival_time for r in stream])
-    gaps = np.diff(times, prepend=0.0)
+    gaps = np.diff(stream.time, prepend=0.0)
     k = 2
     usable = (len(gaps) // k) * k
     sums = gaps[:usable].reshape(-1, k).sum(axis=1)
@@ -291,7 +298,7 @@ def test_interarrival_sums_match_packages_own_density():
     rate, k = 2.0, 5
     spec = single_cluster_workload(rate, 1.0, seed=21)
     stream = merged_arrival_stream(spec, 3_000.0)
-    gaps = np.diff([r.arrival_time for r in stream], prepend=0.0)
+    gaps = np.diff(stream.time, prepend=0.0)
     usable = (len(gaps) // k) * k
     sums = gaps[:usable].reshape(-1, k).sum(axis=1)
 

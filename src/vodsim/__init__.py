@@ -6,9 +6,6 @@ strategies, and a sweep/report CLI.
 """
 
 from .analytic import (
-    ChainSpec,
-    OfferedLoad,
-    PartitionSpec,
     PolicyWeights,
     chain_blocking,
     erlang_b,
@@ -18,7 +15,7 @@ from .analytic import (
     policy_admission_prob,
 )
 from .config import ScenarioConfig, load_config, parse_config
-from .engine import StrategySpec, effective_gate, run
+from .engine import StrategySpec, run
 from .errors import ConfigurationError, InternalConsistencyError, UndefinedMetricError
 from .metrics import (
     ClassCounts,
@@ -36,9 +33,7 @@ from .traffic import (
     build_clusters,
     build_workload,
     merged_arrival_stream,
-    next_interarrival,
     request_rate,
-    sample_holding,
     scale_workload,
 )
 from .cli import AnalyticComparison, compare_analytic, run_scenario, run_sweep

@@ -1,8 +1,8 @@
 """Closed-form blocking and admission probabilities for a partitioned loss server.
 
 Pure functions only: no state, no randomness. Everything here is safe to
-call concurrently. Probabilities are validated on the way in (construction)
-and sanity-checked on the way out; an out-of-range result raises
+call concurrently. Arguments are validated on the way in and results are
+sanity-checked on the way out; an out-of-range result raises
 ``InternalConsistencyError`` instead of being clamped, so formula bugs
 surface instead of hiding.
 """
@@ -11,57 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import InternalConsistencyError
 
 # erlang_b_direct is only supported where every factorial in the sum fits a
 # double (170! is the largest); beyond that the recurrence must be used.
 _DIRECT_CAPACITY_LIMIT = 170
-
-
-@dataclass(frozen=True)
-class OfferedLoad:
-    """Offered traffic in Erlangs (arrival rate times mean holding time)."""
-
-    erlangs: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.erlangs):
-            raise ValueError(f"offered load must be finite, got {self.erlangs}")
-        if self.erlangs < 0:
-            raise ValueError(f"offered load must be >= 0, got {self.erlangs}")
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Capacity of one server partition, in ports."""
-
-    capacity: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.capacity, int) or isinstance(self.capacity, bool):
-            raise ValueError(f"capacity must be an integer, got {self.capacity!r}")
-        if self.capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {self.capacity}")
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """An ordered chain of partitions an overflowing request has traversed.
-
-    Each stage is the (offered load, capacity) of one partition found fully
-    occupied. The chain may be empty, in which case the blocking product is
-    the empty product, 1.
-    """
-
-    stages: tuple[tuple[OfferedLoad, PartitionSpec], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, int]]) -> "ChainSpec":
-        return cls(
-            tuple((OfferedLoad(float(e)), PartitionSpec(int(c))) for e, c in pairs)
-        )
 
 
 @dataclass(frozen=True)
@@ -89,24 +45,19 @@ class PolicyWeights:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def __getitem__(self, class_id: int) -> float:
-        return self.weights[class_id]
+
+def _check_load(erlangs: float) -> float:
+    """Offered traffic in erlangs (arrival rate times mean holding time)."""
+    if not math.isfinite(erlangs) or erlangs < 0:
+        raise ValueError(f"offered load must be finite and >= 0, got {erlangs}")
+    return float(erlangs)
 
 
-LoadLike = Union[OfferedLoad, float, int]
-CapacityLike = Union[PartitionSpec, int]
-
-
-def _as_erlangs(load: LoadLike) -> float:
-    if isinstance(load, OfferedLoad):
-        return load.erlangs
-    return OfferedLoad(float(load)).erlangs
-
-
-def _as_capacity(capacity: CapacityLike) -> int:
-    if isinstance(capacity, PartitionSpec):
-        return capacity.capacity
-    return PartitionSpec(capacity).capacity
+def _check_capacity(capacity: int) -> int:
+    """Capacity of one server partition, in ports."""
+    if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 0:
+        raise ValueError(f"capacity must be a non-negative integer, got {capacity!r}")
+    return capacity
 
 
 def _checked_probability(p: float, context: str) -> float:
@@ -115,7 +66,7 @@ def _checked_probability(p: float, context: str) -> float:
     return p
 
 
-def erlang_b(load: LoadLike, capacity: CapacityLike) -> float:
+def erlang_b(load: float, capacity: int) -> float:
     """Erlang-B blocking probability of an M/M/C/C loss system.
 
     B(E, C) = (E^C / C!) / sum_{k=0..C} (E^k / k!), evaluated through the
@@ -127,22 +78,22 @@ def erlang_b(load: LoadLike, capacity: CapacityLike) -> float:
     which never forms a factorial. Strictly decreasing in C for E > 0 and
     nondecreasing in E for fixed C.
     """
-    e = _as_erlangs(load)
-    c = _as_capacity(capacity)
+    e = _check_load(load)
+    c = _check_capacity(capacity)
     b = 1.0
     for n in range(1, c + 1):
         b = e * b / (n + e * b)
     return _checked_probability(b, "erlang_b")
 
 
-def erlang_b_direct(load: LoadLike, capacity: CapacityLike) -> float:
+def erlang_b_direct(load: float, capacity: int) -> float:
     """Erlang-B evaluated from the literal factorial sum.
 
     Kept as an independent oracle for :func:`erlang_b`; only valid for
     capacities up to 170 where the factorial still fits in a double.
     """
-    e = _as_erlangs(load)
-    c = _as_capacity(capacity)
+    e = _check_load(load)
+    c = _check_capacity(capacity)
     if c > _DIRECT_CAPACITY_LIMIT:
         raise ValueError(
             f"capacity {c} exceeds the factorial guard "
@@ -160,23 +111,23 @@ def erlang_b_direct(load: LoadLike, capacity: CapacityLike) -> float:
     return _checked_probability(terms[-1] / denominator, "erlang_b_direct")
 
 
-def chain_blocking(chain: Union[ChainSpec, Iterable[tuple[float, int]]]) -> float:
+def chain_blocking(chain: Iterable[tuple[float, int]]) -> float:
     """Probability that every partition in the chain blocks simultaneously.
 
-    The per-partition blocking events are treated as independent, so the
+    ``chain`` is the ordered (offered erlangs, ports) pairs of the
+    partitions an overflowing request has found fully occupied. The
+    per-partition blocking events are treated as independent, so the
     result is the product of the per-stage Erlang-B values. An empty chain
     yields 1 (empty product).
     """
-    if not isinstance(chain, ChainSpec):
-        chain = ChainSpec.from_pairs(chain)
     p = 1.0
-    for stage_load, stage_capacity in chain.stages:
-        p *= erlang_b(stage_load, stage_capacity)
+    for erlangs, ports in chain:
+        p *= erlang_b(erlangs, ports)
     return _checked_probability(p, "chain_blocking")
 
 
 def free_port_selection_prob(
-    k: int, j: int, capacity_j: CapacityLike, occupied_j: int
+    k: int, j: int, capacity_j: int, occupied_j: int
 ) -> float:
     """Probability that a request lands on partition j of k and finds a free port.
 
@@ -193,7 +144,7 @@ def free_port_selection_prob(
         raise ValueError(f"partition count k must be >= 1, got {k}")
     if not 1 <= j <= k:
         raise ValueError(f"partition index j must be in 1..{k}, got {j}")
-    c = _as_capacity(capacity_j)
+    c = _check_capacity(capacity_j)
     if c == 0:
         raise ValueError("capacity_j must be >= 1 (free fraction divides by it)")
     if occupied_j < 0 or occupied_j > c:

@@ -25,16 +25,28 @@ from .config import (
     ScenarioConfig,
     load_config,
 )
-from .engine import POLICY, UNCONTROLLED, UNCONTROLLED_STRATEGY, run
+from .engine import POLICY, UNCONTROLLED, UNCONTROLLED_STRATEGY, StrategySpec, run
 from .errors import ConfigurationError, InternalConsistencyError, UndefinedMetricError
 from .metrics import RunMetrics, SweepPoint, aggregate, to_csv
-from .traffic import scale_workload
+from .traffic import WorkloadSpec, scale_workload
 
-def _replication_seeds(config: ScenarioConfig, point_index: int) -> list[int]:
-    return [
-        config.seed + point_index * POINT_SEED_STRIDE + r
+
+def _replications(
+    config: ScenarioConfig,
+    workload: WorkloadSpec,
+    strategy: StrategySpec,
+    point_index: int = 0,
+) -> tuple[RunMetrics, ...]:
+    """Run the replications of sweep point ``point_index`` under one strategy.
+
+    Replication r runs with seed + point_index * POINT_SEED_STRIDE + r.
+    """
+    first = config.seed + point_index * POINT_SEED_STRIDE
+    capacities = config.capacities()
+    return tuple(
+        run(workload, capacities, strategy, config.horizon, config.warmup, first + r)
         for r in range(config.replications)
-    ]
+    )
 
 
 def _restrict_to_class(m: RunMetrics, class_id: int) -> RunMetrics:
@@ -46,8 +58,6 @@ def _restrict_to_class(m: RunMetrics, class_id: int) -> RunMetrics:
         policed=c.policed,
         blocked=c.blocked,
         per_class=(c,),
-        horizon=m.horizon,
-        warmup=m.warmup,
         seed=m.seed,
     )
 
@@ -59,22 +69,17 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
     arrival rate by traffic_rate_c / min_rate, so the sweep traces system
     blocking against total offered load. In per_cluster mode the load is
     fixed at the base scenario and each point reports one cluster's own
-    blocking. Replication seeds are seed + point_index * 10007 + r, so
-    matched points across strategies see identical arrivals.
+    blocking. Matched points across strategies run with the same seeds, so
+    they see identical arrivals.
     """
     base = config.workload()
-    capacities = config.capacities()
     strategies = config.strategy_specs()
 
     if config.sweep_mode == SWEEP_PER_CLUSTER:
         offered_total = base.offered_erlangs()
-        seeds = _replication_seeds(config, 0)
         points = []
         for name, strategy in strategies:
-            replications = tuple(
-                run(base, capacities, strategy, config.horizon, config.warmup, s)
-                for s in seeds
-            )
+            replications = _replications(config, base, strategy)
             for cluster in base.clusters:
                 points.append(
                     SweepPoint.from_replications(
@@ -97,12 +102,8 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
     for point_index, cluster in enumerate(base.clusters):
         scaled = scale_workload(base, cluster.traffic_rate / config.min_rate)
         offered = scaled.offered_erlangs()
-        seeds = _replication_seeds(config, point_index)
         for name, strategy in strategies:
-            replications = tuple(
-                run(scaled, capacities, strategy, config.horizon, config.warmup, s)
-                for s in seeds
-            )
+            replications = _replications(config, scaled, strategy, point_index)
             points.append(
                 SweepPoint.from_replications(
                     cluster.traffic_rate, offered, name, replications
@@ -115,13 +116,9 @@ def run_scenario(config: ScenarioConfig) -> list[SweepPoint]:
     """Run the base scenario (no load scaling) once per configured strategy."""
     workload = config.workload()
     offered = workload.offered_erlangs()
-    seeds = _replication_seeds(config, 0)
     points = []
     for name, strategy in config.strategy_specs():
-        replications = tuple(
-            run(workload, config.capacities(), strategy, config.horizon, config.warmup, s)
-            for s in seeds
-        )
+        replications = _replications(config, workload, strategy)
         points.append(
             SweepPoint.from_replications(config.max_rate, offered, name, replications)
         )
@@ -130,7 +127,7 @@ def run_scenario(config: ScenarioConfig) -> list[SweepPoint]:
 
 @dataclass(frozen=True)
 class AnalyticComparison:
-    """Simulated blocking of a single partition next to its Erlang-B value."""
+    """Simulated server blocking next to its Erlang-B value on all ports."""
 
     offered_erlangs: float
     capacity: int
@@ -143,33 +140,22 @@ class AnalyticComparison:
 
 
 def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> AnalyticComparison:
-    """Validate the simulator against the closed-form single-partition value.
+    """Validate the simulator against the exact steady-state blocking value.
 
-    Requires a single-partition configuration; the simulation always runs
-    uncontrolled, since the closed form describes the ungated server. With
-    several partitions the per-partition occupancies are correlated and the
-    product form does not apply, so that case is rejected.
+    A request is blocked exactly when all N = sum of C_j ports are busy,
+    whichever partition it lands on, so the server is a full-availability
+    loss system and its blocking is Erlang-B of the total offered load on
+    N ports, for any partition layout and any holding-time distribution.
+    The simulation always runs uncontrolled, since the closed form
+    describes the ungated server.
     """
-    if config.num_partitions != 1:
-        raise ConfigurationError(
-            f"compare-analytic requires num_partitions = 1, got {config.num_partitions}"
-        )
     if not tolerance >= 0:
         raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
     workload = config.workload()
     offered = workload.offered_erlangs()
-    analytic = erlang_b(offered, config.ports_per_partition)
-    replications = [
-        run(
-            workload,
-            config.capacities(),
-            UNCONTROLLED_STRATEGY,
-            config.horizon,
-            config.warmup,
-            s,
-        )
-        for s in _replication_seeds(config, 0)
-    ]
+    capacity = sum(config.capacities())
+    analytic = erlang_b(offered, capacity)
+    replications = _replications(config, workload, UNCONTROLLED_STRATEGY)
     try:
         simulated, halfwidth = aggregate(replications, "server")
     except UndefinedMetricError:
@@ -178,7 +164,7 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
     difference = abs(simulated - analytic)
     return AnalyticComparison(
         offered_erlangs=offered,
-        capacity=config.ports_per_partition,
+        capacity=capacity,
         analytic_blocking=analytic,
         simulated_blocking=simulated,
         ci95_halfwidth=halfwidth,
@@ -274,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser(
         "compare-analytic",
-        help="compare single-partition simulation against the Erlang-B value",
+        help="compare uncontrolled simulation against Erlang-B on all ports",
     )
     p_cmp.add_argument("--config", required=True, help="path to key=value config file")
     p_cmp.add_argument(

@@ -41,6 +41,11 @@ SWEEP_CHOICES = (SWEEP_GLOBAL, SWEEP_PER_CLUSTER)
 # of the reproducibility contract, so treat it as frozen.
 POINT_SEED_STRIDE = 10007
 
+# Larger configs fail fast: a run keeps about 100 bytes per arrival, and the
+# heaviest run of the reference scenario expects about 19,000 arrivals.
+MAX_PARTITIONS = 10**6
+MAX_RUN_ARRIVALS = 10**8
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -82,7 +87,10 @@ class ScenarioConfig:
         )
         checks = [
             (self.num_clusters >= 1, "num_clusters must be >= 1"),
-            (self.num_partitions >= 1, "num_partitions must be >= 1"),
+            (
+                1 <= self.num_partitions <= MAX_PARTITIONS,
+                f"num_partitions must lie in 1..{MAX_PARTITIONS}",
+            ),
             (self.ports_per_partition >= 0, "ports_per_partition must be >= 0"),
             (self.replications >= 1, "replications must be >= 1"),
             (
@@ -96,10 +104,7 @@ class ScenarioConfig:
                 f"hold times must satisfy 0 < min_hold <= max_hold, "
                 f"got min_hold={self.min_hold} max_hold={self.max_hold}",
             ),
-            (
-                math.isfinite(self.horizon) and self.horizon > 0,
-                "horizon must be > 0",
-            ),
+            (self.horizon > 0, "horizon must be > 0"),
             (
                 0 <= self.warmup < self.horizon,
                 f"warmup must lie in [0, horizon), got warmup={self.warmup} "
@@ -134,6 +139,16 @@ class ScenarioConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigurationError(message)
+        # expected arrivals of the heaviest run, the top global sweep point
+        top = max(1.0, self.max_rate / self.min_rate) if self.min_rate > 0 else 1.0
+        rate = (self.min_rate + self.max_rate) / 2 / self.per_stream_bandwidth
+        arrivals = self.horizon * top * self.num_clusters * (rate + self.interactive_rate)
+        if not arrivals <= MAX_RUN_ARRIVALS:
+            raise ConfigurationError(
+                f"the heaviest run expects {arrivals:.3g} arrivals (from horizon, "
+                f"num_clusters, min_rate, max_rate, per_stream_bandwidth and "
+                f"interactive_rate), more than {MAX_RUN_ARRIVALS:.0e}"
+            )
 
     def capacities(self) -> list[int]:
         """Equal ports per partition, as a per-partition capacity list."""
@@ -152,23 +167,18 @@ class ScenarioConfig:
         )
 
     def policy_weights(self) -> PolicyWeights:
-        """Build the preset class weights.
+        """Build the preset class weights: 1/n for each of the n classes.
 
-        uniform gives every class 1/n. capacity_proportional weights class
-        c by the capacity of its home partition (c mod k), normalized; with
-        equal ports per partition the two presets coincide.
+        capacity_proportional weights each class by the capacity of a
+        partition. Every partition has ports_per_partition ports, so that
+        is the uniform preset, except that it needs at least one port.
         """
-        n = self.num_clusters
-        if self.policy_preset == PRESET_UNIFORM:
-            return PolicyWeights((1.0 / n,) * n)
-        caps = self.capacities()
-        raw = [caps[c % len(caps)] for c in range(n)]
-        total = sum(raw)
-        if total == 0:
+        if self.policy_preset == PRESET_CAPACITY and self.ports_per_partition == 0:
             raise ConfigurationError(
                 "capacity_proportional weights need at least one port"
             )
-        return PolicyWeights(tuple(r / total for r in raw))
+        n = self.num_clusters
+        return PolicyWeights((1.0 / n,) * n)
 
     def policy_strategy(self) -> StrategySpec:
         return StrategySpec(POLICY, self.policy_weights(), self.weight_scaling)

@@ -47,32 +47,19 @@ SCALINGS = (LITERAL, MAX_NORMALIZED)
 _GATE_SEED_MIX = 0x9E3779B97F4A7C15
 
 
-def effective_gate(weights: PolicyWeights, class_id: int, scaling: str = LITERAL) -> float:
-    """Gate probability for a class: its weight, literal or max-normalized.
-
-    literal uses the weight as given (weights sum to 1, so with many
-    classes every gate is small). max_normalized divides by the largest
-    weight: the highest-priority class passes with probability 1 and the
-    others keep their relative priorities.
-    """
-    if scaling not in SCALINGS:
-        raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
-    if not 0 <= class_id < len(weights):
-        raise ValueError(f"class_id {class_id} outside 0..{len(weights) - 1}")
-    w = weights[class_id]
-    if scaling == LITERAL:
-        return w
-    return w / max(weights.weights)
-
-
 @dataclass(frozen=True)
 class StrategySpec:
-    """Admission strategy: uncontrolled overflow, or a per-class policy gate."""
+    """Admission strategy: uncontrolled overflow, or a per-class policy gate.
+
+    In policy mode ``gates`` holds each class's pass probability: its weight
+    as given (literal), or divided by the largest weight (max_normalized),
+    so that the highest-priority class always passes.
+    """
 
     mode: str
     weights: PolicyWeights | None = None
     weight_scaling: str = LITERAL
-    _gates: tuple[float, ...] | None = field(
+    gates: tuple[float, ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
 
@@ -86,19 +73,11 @@ class StrategySpec:
         if (self.mode == POLICY) != (self.weights is not None):
             raise ConfigurationError("weights must be supplied iff mode is 'policy'")
         if self.weights is not None:
-            gates = tuple(
-                effective_gate(self.weights, c, self.weight_scaling)
-                for c in range(len(self.weights))
-            )
-            object.__setattr__(self, "_gates", gates)
-
-    def gate_for(self, class_id: int) -> float:
-        """Precomputed effective gate for a class (policy mode only)."""
-        if self._gates is None:
-            raise ConfigurationError("gate_for is only defined for policy strategies")
-        if not 0 <= class_id < len(self._gates):
-            raise ValueError(f"class_id {class_id} outside 0..{len(self._gates) - 1}")
-        return self._gates[class_id]
+            gates = self.weights.weights
+            if self.weight_scaling == MAX_NORMALIZED:
+                top = max(gates)
+                gates = tuple(w / top for w in gates)
+            object.__setattr__(self, "gates", gates)
 
 
 UNCONTROLLED_STRATEGY = StrategySpec(UNCONTROLLED)
@@ -180,7 +159,7 @@ def run(
     passed = np.ones(len(stream), dtype=bool)
     if strategy.mode == POLICY:
         draw = random.Random(seed ^ _GATE_SEED_MIX).random
-        gates = np.array(strategy._gates)[classes]
+        gates = np.array(strategy.gates)[classes]
         passed = np.array([draw() for _ in range(len(stream))]) < gates
         times, holds = times[passed], holds[passed]
     admitted = np.zeros(len(stream), dtype=bool)
@@ -205,7 +184,5 @@ def run(
         policed=sum(policed),
         blocked=sum(blocked),
         per_class=tuple(map(ClassCounts, offered, admits, policed, blocked)),
-        horizon=horizon,
-        warmup=warmup,
         seed=seed,
     )

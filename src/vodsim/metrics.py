@@ -66,8 +66,6 @@ class RunMetrics:
     policed: int
     blocked: int
     per_class: tuple[ClassCounts, ...]
-    horizon: float
-    warmup: float
     seed: int
 
     def __post_init__(self) -> None:
@@ -82,11 +80,6 @@ class RunMetrics:
                         f"per-class {name} sums to {total}, totals say "
                         f"{getattr(self, name)}"
                     )
-        if not 0 <= self.warmup < self.horizon:
-            raise ValueError(
-                f"warmup must lie in [0, horizon), got warmup={self.warmup} "
-                f"horizon={self.horizon}"
-            )
 
 
 def blocking_probability(m, scope: str = "server") -> float:

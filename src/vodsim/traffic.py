@@ -232,26 +232,6 @@ def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
     return replace(spec, clusters=clusters)
 
 
-def next_interarrival(rng, rate: float) -> float:
-    """Draw one exponential inter-arrival time (mean 1/rate) by inverse CDF."""
-    if not math.isfinite(rate) or rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return -math.log1p(-u) / rate
-
-
-def sample_holding(rng, mean_holding: float) -> float:
-    """Draw one exponential holding time with the given mean."""
-    if not math.isfinite(mean_holding) or mean_holding <= 0:
-        raise ValueError(f"mean_holding must be > 0, got {mean_holding}")
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return -mean_holding * math.log1p(-u)
-
-
 def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniforms on (0, 1): redraw the (vanishingly rare) exact zeros."""
     u = rng.random(n)

@@ -120,7 +120,7 @@ def admit(
     from the gate generator.
     """
     if strategy.mode == POLICY:
-        gates = strategy._gates
+        gates = strategy.gates
         if gates is None:
             raise ConfigurationError("policy strategy has no weights")
         try:
@@ -251,7 +251,5 @@ def reference_run(
         policed=sum(policed),
         blocked=sum(blocked),
         per_class=per_class,
-        horizon=horizon,
-        warmup=warmup,
         seed=seed,
     )

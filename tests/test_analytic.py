@@ -9,9 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vodsim.analytic import (
-    ChainSpec,
-    OfferedLoad,
-    PartitionSpec,
     PolicyWeights,
     chain_blocking,
     erlang_b,
@@ -28,37 +25,47 @@ capacities = st.integers(min_value=0, max_value=50)
 
 
 class TestOfferedLoad:
+    """Every closed form takes offered load as finite erlangs >= 0."""
+
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            OfferedLoad(-0.1)
+        with pytest.raises(ValueError, match="offered load"):
+            erlang_b(-0.1, 1)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError):
-            OfferedLoad(bad)
+        with pytest.raises(ValueError, match="offered load"):
+            erlang_b_direct(bad, 1)
 
     def test_accepts_zero(self):
-        assert OfferedLoad(0.0).erlangs == 0.0
+        assert chain_blocking([(0.0, 1)]) == 0.0
 
 
 class TestPartitionSpec:
+    """Every closed form takes a partition's capacity as a non-bool int >= 0."""
+
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(-1)
+        with pytest.raises(ValueError, match="capacity"):
+            erlang_b(1.0, -1)
 
     def test_rejects_non_integer(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(1.5)
+        for bad in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match="capacity"):
+                erlang_b(1.0, bad)
 
     def test_accepts_zero(self):
-        assert PartitionSpec(0).capacity == 0
+        assert erlang_b_direct(1.0, 0) == 1.0
+
+    def test_chain_stage_capacity_is_not_truncated(self):
+        # a stage of 1.5 ports is rejected, not computed as 1 port
+        with pytest.raises(ValueError, match="capacity"):
+            chain_blocking([(1.0, 1.5)])
 
 
 class TestPolicyWeights:
     def test_valid(self):
         w = PolicyWeights((0.5, 0.3, 0.2))
         assert len(w) == 3
-        assert w[1] == 0.3
+        assert w.weights[1] == 0.3
 
     def test_sum_must_be_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -101,7 +108,8 @@ class TestErlangB:
             erlang_b(float("nan"), 3)
 
     def test_accepts_domain_types(self):
-        assert erlang_b(OfferedLoad(2.0), PartitionSpec(2)) == pytest.approx(0.4)
+        # offered erlangs may be an int or a float; ports are an int
+        assert erlang_b(2, 2) == erlang_b(2.0, 2) == pytest.approx(0.4)
 
     @given(loads, capacities)
     def test_result_is_probability(self, e, c):
@@ -143,7 +151,7 @@ class TestErlangBDirect:
 class TestChainBlocking:
     def test_empty_chain_is_unit(self):
         assert chain_blocking([]) == 1.0
-        assert chain_blocking(ChainSpec(())) == 1.0
+        assert chain_blocking(iter(())) == 1.0
 
     def test_single_stage_equals_erlang_b(self):
         assert chain_blocking([(2.0, 2)]) == pytest.approx(0.4, abs=1e-12)

@@ -3,7 +3,7 @@
 import hashlib
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -177,9 +177,26 @@ class TestCompareAnalytic:
         assert report.analytic_blocking == 1.0
         assert report.simulated_blocking == 1.0
 
-    def test_multi_partition_rejected(self):
-        with pytest.raises(ConfigurationError, match="num_partitions"):
-            compare_analytic(ScenarioConfig(num_partitions=2))
+    def test_multi_partition_compares_against_all_ports(self):
+        # two partitions of one port pool into one Erlang-B system on 2 ports
+        config = ScenarioConfig(
+            num_clusters=1,
+            min_rate=2.0,
+            max_rate=2.0,
+            per_stream_bandwidth=1.0,
+            num_partitions=2,
+            ports_per_partition=1,
+            min_hold=1.0,
+            max_hold=1.0,
+            horizon=5_000.0,
+            warmup=500.0,
+            replications=10,
+            seed=1,
+        )
+        report = compare_analytic(config)
+        assert report.capacity == 2
+        assert report.analytic_blocking == pytest.approx(0.4, abs=1e-12)
+        assert report.passed
 
 
 class TestMainCli:
@@ -251,8 +268,25 @@ class TestMainCli:
             "max_rate = inf\n",
             "min_hold = inf\nmax_hold = inf\n",
             "seed = 18446744073709551615\nreplications = 2\n",
+            "per_stream_bandwidth = 1e-310\n",
+            "max_rate = 1e308\n",
+            "interactive_rate = 1e308\n",
+            "horizon = 1e308\n",
+            "min_rate = 1e-310\nmax_rate = 1\n",
+            "num_partitions = 18446744073709551615\n",
         ],
-        ids=["bandwidth-inf", "max-rate-inf", "holds-inf", "seed-past-2-64"],
+        ids=[
+            "bandwidth-inf",
+            "max-rate-inf",
+            "holds-inf",
+            "seed-past-2-64",
+            "bandwidth-tiny",
+            "max-rate-huge",
+            "interactive-rate-huge",
+            "horizon-huge",
+            "min-rate-tiny",
+            "partitions-past-2-64",
+        ],
     )
     def test_unusable_values_exit_2_without_traceback(self, tmp_path, text):
         result = subprocess.run(
@@ -273,3 +307,21 @@ class TestMainCli:
         code = main(["run", "--config", self.write_config(tmp_path)])
         assert code == 3
         assert "internal consistency error" in capsys.readouterr().err
+
+
+EXTREME_BASE = {"num_clusters": "2", "horizon": "2", "replications": "2"}
+EXTREME_VALUES = ["0", "-1", "1e-310", "1e308", "inf", "nan", "18446744073709551615", "x"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("value", EXTREME_VALUES)
+@pytest.mark.parametrize("key", [f.name for f in fields(ScenarioConfig)])
+def test_extreme_value_exits_0_or_2(tmp_path, key, value, command):
+    """Any single key set to an extreme value runs or is a configuration error."""
+    values = {**EXTREME_BASE, key: value}
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    argv = [command, "--config", str(cfg)]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "extreme.csv")]
+    assert main(argv) in (0, 2)

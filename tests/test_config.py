@@ -97,6 +97,18 @@ class TestParseErrors:
             with pytest.raises(ConfigurationError, match="finite"):
                 parse_config(text)
 
+    def test_heaviest_run_must_fit_arrival_bound(self):
+        # the reference top point offers 15.5 * 30 * 8.25 / 100 = 38.3625
+        # arrivals/s, so 10**8 arrivals are reached at a horizon of 2.61e6 s
+        assert parse_config("horizon = 2.6e6").horizon == 2.6e6
+        with pytest.raises(ConfigurationError, match="arrivals.*horizon = 2700000"):
+            parse_config("horizon = 2.7e6")
+
+    def test_partition_count_bounded(self):
+        assert parse_config("num_partitions = 1000000").num_partitions == 10**6
+        with pytest.raises(ConfigurationError, match="num_partitions"):
+            parse_config("num_partitions = 1000001")
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="seed"):
             parse_config("seed = -1\n")

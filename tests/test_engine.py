@@ -23,7 +23,6 @@ from vodsim.engine import (
     UNCONTROLLED_STRATEGY,
     StrategySpec,
     _pooled_admission,
-    effective_gate,
     run,
 )
 from vodsim.errors import ConfigurationError, InternalConsistencyError
@@ -155,26 +154,34 @@ class TestRelease:
 
 
 class TestEffectiveGate:
+    """The per-class gate probability a policy strategy derives from its weights."""
+
     def test_uniform_literal(self):
-        w = PolicyWeights((0.25,) * 4)
-        assert effective_gate(w, 2, "literal") == 0.25
+        s = StrategySpec("policy", PolicyWeights((0.25,) * 4), "literal")
+        assert s.gates == (0.25,) * 4
 
     def test_uniform_max_normalized(self):
-        w = PolicyWeights((0.25,) * 4)
-        assert effective_gate(w, 2, "max_normalized") == 1.0
+        s = StrategySpec("policy", PolicyWeights((0.25,) * 4), "max_normalized")
+        assert s.gates == (1.0,) * 4
 
     def test_max_normalized_preserves_ratios(self):
-        w = PolicyWeights((0.5, 0.3, 0.2))
-        assert effective_gate(w, 1, "max_normalized") == pytest.approx(0.6)
+        s = StrategySpec("policy", PolicyWeights((0.5, 0.3, 0.2)), "max_normalized")
+        assert s.gates[1] == pytest.approx(0.6)
 
     def test_out_of_range_class(self):
-        w = PolicyWeights((0.5, 0.5))
-        with pytest.raises(ValueError):
-            effective_gate(w, 2, "literal")
+        # two weights give gates for classes 0 and 1 only; a run that offers
+        # class 2 is refused rather than given a made-up gate
+        s = StrategySpec("policy", PolicyWeights((0.5, 0.5)), "literal")
+        assert len(s.gates) == 2
+        with pytest.raises(ConfigurationError, match="class"):
+            run(make_workload(1.0, 1.0, num_clusters=3), [1], s, 100.0, 0.0, seed=0)
 
     def test_unknown_scaling(self):
-        with pytest.raises(ValueError):
-            effective_gate(PolicyWeights((1.0,)), 0, "softmax")
+        with pytest.raises(ConfigurationError, match="weight_scaling"):
+            StrategySpec("policy", PolicyWeights((1.0,)), "softmax")
+
+    def test_uncontrolled_has_no_gates(self):
+        assert UNCONTROLLED_STRATEGY.gates is None
 
 
 class TestStrategySpec:
@@ -192,8 +199,8 @@ class TestStrategySpec:
 
     def test_gates_precomputed(self):
         s = StrategySpec("policy", PolicyWeights((0.5, 0.3, 0.2)), "max_normalized")
-        assert s.gate_for(0) == 1.0
-        assert s.gate_for(2) == pytest.approx(0.4)
+        assert s.gates[0] == 1.0
+        assert s.gates[2] == pytest.approx(0.4)
 
 
 class TestRun:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vodsim.engine import UNCONTROLLED_STRATEGY, run
 from vodsim.errors import UndefinedMetricError
 from vodsim.metrics import (
     ClassCounts,
@@ -17,6 +18,7 @@ from vodsim.metrics import (
     policed_fraction,
     to_csv,
 )
+from vodsim.traffic import WorkloadSpec
 
 
 def mk(offered, admitted, policed, blocked, seed=0):
@@ -27,8 +29,6 @@ def mk(offered, admitted, policed, blocked, seed=0):
         policed=policed,
         blocked=blocked,
         per_class=per_class,
-        horizon=100.0,
-        warmup=10.0,
         seed=seed,
     )
 
@@ -45,15 +45,19 @@ class TestConstructionInvariants:
     def test_per_class_must_sum_to_totals(self):
         good = ClassCounts(5, 5, 0, 0)
         with pytest.raises(ValueError, match="per-class"):
-            RunMetrics(10, 10, 0, 0, (good,), 100.0, 0.0, 0)
+            RunMetrics(10, 10, 0, 0, (good,), 0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ClassCounts(-1, -1, 0, 0)
 
     def test_warmup_within_horizon(self):
-        with pytest.raises(ValueError, match="warmup"):
-            RunMetrics(0, 0, 0, 0, (), 100.0, 100.0, 0)
+        # the counters cover [warmup, horizon); run refuses a window that is empty
+        # or starts before time zero
+        empty = WorkloadSpec((), 1.0, 1.0, 2.0, 0)
+        for warmup in (100.0, 150.0, -1.0):
+            with pytest.raises(ValueError, match="warmup"):
+                run(empty, [1], UNCONTROLLED_STRATEGY, 100.0, warmup, seed=0)
 
     def test_valid_construction(self):
         m = mk(100, 60, 30, 10)

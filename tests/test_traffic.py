@@ -13,9 +13,7 @@ from vodsim.traffic import (
     build_clusters,
     build_workload,
     merged_arrival_stream,
-    next_interarrival,
     request_rate,
-    sample_holding,
     scale_workload,
 )
 
@@ -83,42 +81,6 @@ class TestRequestRate:
             request_rate(1.0, -1.0)
 
 
-class TestScalarDraws:
-    def test_next_interarrival_deterministic(self):
-        a = next_interarrival(np.random.default_rng(7), 2.0)
-        b = next_interarrival(np.random.default_rng(7), 2.0)
-        assert a == b
-
-    def test_next_interarrival_mean(self):
-        rng = np.random.default_rng(1)
-        samples = [next_interarrival(rng, 2.0) for _ in range(100_000)]
-        assert sum(samples) / len(samples) == pytest.approx(0.5, abs=0.01)
-
-    def test_next_interarrival_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            next_interarrival(np.random.default_rng(0), 0.0)
-
-    def test_sample_holding_deterministic(self):
-        a = sample_holding(np.random.default_rng(9), 10.0)
-        b = sample_holding(np.random.default_rng(9), 10.0)
-        assert a == b
-
-    def test_sample_holding_mean(self):
-        rng = np.random.default_rng(2)
-        samples = [sample_holding(rng, 10.0) for _ in range(100_000)]
-        assert sum(samples) / len(samples) == pytest.approx(10.0, abs=0.2)
-
-    def test_sample_holding_rejects_zero_mean(self):
-        with pytest.raises(ValueError):
-            sample_holding(np.random.default_rng(0), 0.0)
-
-    def test_draws_strictly_positive(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10_000):
-            assert next_interarrival(rng, 5.0) > 0
-            assert sample_holding(rng, 0.001) > 0
-
-
 class TestMergedStream:
     def test_poisson_count_band(self):
         spec = single_cluster_workload(2.0, 5.0, seed=101)
@@ -165,6 +127,17 @@ class TestMergedStream:
         assert len(stream) > 0
         assert np.all(stream.hold > 0) and np.all(np.isfinite(stream.hold))
 
+    def test_holding_times_have_their_cluster_mean(self):
+        c0 = ClusterSpec(0, 10.0, 10.0, 2.0)
+        c1 = ClusterSpec(1, 10.0, 10.0, 10.0)
+        spec = WorkloadSpec((c0, c1), 1.0, 2.0, 10.0, 6)
+        stream = merged_arrival_stream(spec, 5_000.0)
+        for cluster in spec.clusters:
+            holds = stream.hold[stream.class_id == cluster.class_id]
+            # five standard errors of an exponential sample mean
+            tolerance = 5 * cluster.mean_holding / math.sqrt(len(holds))
+            assert holds.mean() == pytest.approx(cluster.mean_holding, abs=tolerance)
+
     def test_interactive_stream_disabled_by_default(self):
         spec = single_cluster_workload(5.0, 1.0, seed=5)
         assert spec.clusters[0].interactive_rate == 0.0
@@ -210,6 +183,12 @@ class TestWorkloadSpec:
         bad = ClusterSpec(0, 4.0, 4.0, 10.0)
         with pytest.raises(ValueError, match="mean_holding"):
             WorkloadSpec((bad,), 1.0, 1.0, 2.0, 0)
+
+    def test_cluster_rejects_nonpositive_hold_and_negative_rate(self):
+        with pytest.raises(ValueError, match="mean_holding"):
+            ClusterSpec(0, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="request_rate"):
+            ClusterSpec(0, 1.0, -1.0, 1.0)
 
     def test_inverted_hold_bounds_rejected(self):
         with pytest.raises(ValueError, match="min <= max"):

@@ -30,10 +30,8 @@ from .traffic import (
     ArrivalStream,
     ClusterSpec,
     WorkloadSpec,
-    build_clusters,
     build_workload,
     merged_arrival_stream,
-    request_rate,
     scale_workload,
 )
 from .cli import AnalyticComparison, compare_analytic, run_scenario, run_sweep

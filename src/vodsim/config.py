@@ -18,8 +18,8 @@ from pathlib import Path
 from .analytic import PolicyWeights
 from .engine import (
     LITERAL,
-    MAX_NORMALIZED,
     POLICY,
+    SCALINGS,
     UNCONTROLLED,
     UNCONTROLLED_STRATEGY,
     StrategySpec,
@@ -42,9 +42,12 @@ SWEEP_CHOICES = (SWEEP_GLOBAL, SWEEP_PER_CLUSTER)
 POINT_SEED_STRIDE = 10007
 
 # Larger configs fail fast: a run keeps about 100 bytes per arrival, and the
-# heaviest run of the reference scenario expects about 19,000 arrivals.
-MAX_PARTITIONS = 10**6
+# heaviest run of the reference scenario expects about 19,000 arrivals. The
+# workload builds one spec per cluster (MAX_COUNT caps clusters and
+# partitions alike), and compare-analytic's Erlang-B loops once per port.
+MAX_COUNT = 10**6
 MAX_RUN_ARRIVALS = 10**8
+MAX_PORTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,19 @@ class ScenarioConfig:
             self.seed + (self.num_clusters - 1) * POINT_SEED_STRIDE + self.replications - 1
         )
         checks = [
-            (self.num_clusters >= 1, "num_clusters must be >= 1"),
             (
-                1 <= self.num_partitions <= MAX_PARTITIONS,
-                f"num_partitions must lie in 1..{MAX_PARTITIONS}",
+                1 <= self.num_clusters <= MAX_COUNT,
+                f"num_clusters must lie in 1..{MAX_COUNT}",
+            ),
+            (
+                1 <= self.num_partitions <= MAX_COUNT,
+                f"num_partitions must lie in 1..{MAX_COUNT}",
             ),
             (self.ports_per_partition >= 0, "ports_per_partition must be >= 0"),
+            (
+                self.num_partitions * self.ports_per_partition <= MAX_PORTS,
+                f"num_partitions * ports_per_partition must be at most {MAX_PORTS:.0e}",
+            ),
             (self.replications >= 1, "replications must be >= 1"),
             (
                 0 <= self.min_rate <= self.max_rate,
@@ -125,10 +135,7 @@ class ScenarioConfig:
                 self.policy_preset in PRESET_CHOICES,
                 f"policy_preset must be one of {PRESET_CHOICES}",
             ),
-            (
-                self.weight_scaling in (LITERAL, MAX_NORMALIZED),
-                f"weight_scaling must be one of {(LITERAL, MAX_NORMALIZED)}",
-            ),
+            (self.weight_scaling in SCALINGS, f"weight_scaling must be one of {SCALINGS}"),
             (0 <= self.threshold <= 1, "threshold must be a probability"),
             (self.interactive_rate >= 0, "interactive_rate must be >= 0"),
             (
@@ -180,9 +187,6 @@ class ScenarioConfig:
         n = self.num_clusters
         return PolicyWeights((1.0 / n,) * n)
 
-    def policy_strategy(self) -> StrategySpec:
-        return StrategySpec(POLICY, self.policy_weights(), self.weight_scaling)
-
     def strategy_specs(self) -> list[tuple[str, StrategySpec]]:
         """Named strategies this scenario runs, uncontrolled first."""
         policy_name = f"policy-{self.policy_preset}-{self.weight_scaling}"
@@ -190,17 +194,9 @@ class ScenarioConfig:
         if self.strategy in (UNCONTROLLED, BOTH):
             specs.append((UNCONTROLLED, UNCONTROLLED_STRATEGY))
         if self.strategy in (POLICY, BOTH):
-            specs.append((policy_name, self.policy_strategy()))
+            policy = StrategySpec(POLICY, self.policy_weights(), self.weight_scaling)
+            specs.append((policy_name, policy))
         return specs
-
-
-def _choice(*allowed: str):
-    def parse(value: str) -> str:
-        if value not in allowed:
-            raise ValueError(f"expected one of {allowed}")
-        return value
-
-    return parse
 
 
 _PARSERS = {
@@ -216,12 +212,12 @@ _PARSERS = {
     "warmup": float,
     "replications": int,
     "seed": int,
-    "strategy": _choice(*STRATEGY_CHOICES),
-    "policy_preset": _choice(*PRESET_CHOICES),
-    "weight_scaling": _choice(LITERAL, MAX_NORMALIZED),
+    "strategy": str,
+    "policy_preset": str,
+    "weight_scaling": str,
     "threshold": float,
     "interactive_rate": float,
-    "sweep_mode": _choice(*SWEEP_CHOICES),
+    "sweep_mode": str,
 }
 
 assert set(_PARSERS) == {f.name for f in fields(ScenarioConfig)}

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -128,57 +127,6 @@ class ArrivalStream:
         return len(self.time)
 
 
-def request_rate(traffic_rate: float, per_stream_bandwidth: float) -> float:
-    """Requests per second offered by a cluster: traffic rate over stream bandwidth."""
-    if not math.isfinite(per_stream_bandwidth) or per_stream_bandwidth <= 0:
-        raise ValueError(
-            f"per_stream_bandwidth must be > 0, got {per_stream_bandwidth}"
-        )
-    if not math.isfinite(traffic_rate) or traffic_rate < 0:
-        raise ValueError(f"traffic_rate must be finite and >= 0, got {traffic_rate}")
-    return traffic_rate / per_stream_bandwidth
-
-
-def build_clusters(
-    count: int,
-    min_rate: float,
-    max_rate: float,
-    *,
-    per_stream_bandwidth: float = 1.0,
-    mean_holdings: Sequence[float] | None = None,
-    interactive_rate: float = 0.0,
-) -> tuple[ClusterSpec, ...]:
-    """Build ``count`` clusters with traffic rates spaced linearly over the range.
-
-    Cluster c gets min_rate + c * (max_rate - min_rate) / (count - 1); a
-    single cluster gets min_rate. ``mean_holdings`` supplies one holding
-    mean per cluster (default 1.0 each); :func:`build_workload` draws them.
-    """
-    if count < 1:
-        raise ValueError(f"cluster count must be >= 1, got {count}")
-    if not 0 <= min_rate <= max_rate:
-        raise ValueError(
-            f"rates must satisfy 0 <= min <= max, got [{min_rate}, {max_rate}]"
-        )
-    if mean_holdings is None:
-        mean_holdings = [1.0] * count
-    if len(mean_holdings) != count:
-        raise ValueError(
-            f"expected {count} mean_holdings, got {len(mean_holdings)}"
-        )
-    step = (max_rate - min_rate) / (count - 1) if count > 1 else 0.0
-    return tuple(
-        ClusterSpec(
-            class_id=c,
-            traffic_rate=min_rate + c * step,
-            request_rate=request_rate(min_rate + c * step, per_stream_bandwidth),
-            mean_holding=float(mean_holdings[c]),
-            interactive_rate=interactive_rate,
-        )
-        for c in range(count)
-    )
-
-
 def build_workload(
     num_clusters: int,
     min_rate: float,
@@ -189,29 +137,35 @@ def build_workload(
     seed: int,
     interactive_rate: float = 0.0,
 ) -> WorkloadSpec:
-    """Assemble a workload, drawing each cluster's holding mean once, seeded.
+    """Assemble a workload of clusters with linearly spaced traffic rates.
 
-    The means are uniform over [min_hold, max_hold] and fixed into the
-    cluster specs, so rescaling rates or rerunning with a different stream
-    seed never redraws them.
+    Cluster c gets traffic rate min_rate + c * (max_rate - min_rate) /
+    (num_clusters - 1), a single cluster gets min_rate, and its request rate
+    is that over per_stream_bandwidth. Each cluster's holding mean is drawn
+    once, seeded, uniform over [min_hold, max_hold], and fixed into its spec,
+    so rescaling rates or rerunning with a different stream seed never
+    redraws it. The specs check every other rule.
     """
+    if num_clusters < 1:
+        raise ValueError(f"cluster count must be >= 1, got {num_clusters}")
+    if not 0 <= min_rate <= max_rate:
+        raise ValueError(f"rates must satisfy 0 <= min <= max, got [{min_rate}, {max_rate}]")
+    if not math.isfinite(per_stream_bandwidth) or per_stream_bandwidth <= 0:
+        raise ValueError(f"per_stream_bandwidth must be > 0, got {per_stream_bandwidth}")
     rng = np.random.default_rng(np.random.SeedSequence([_HOLD_DRAW_TAG, seed]))
     mean_holdings = rng.uniform(min_hold, max_hold, num_clusters).tolist()
-    clusters = build_clusters(
-        num_clusters,
-        min_rate,
-        max_rate,
-        per_stream_bandwidth=per_stream_bandwidth,
-        mean_holdings=mean_holdings,
-        interactive_rate=interactive_rate,
+    step = (max_rate - min_rate) / (num_clusters - 1) if num_clusters > 1 else 0.0
+    clusters = tuple(
+        ClusterSpec(
+            class_id=c,
+            traffic_rate=min_rate + c * step,
+            request_rate=(min_rate + c * step) / per_stream_bandwidth,
+            mean_holding=mean_holding,
+            interactive_rate=interactive_rate,
+        )
+        for c, mean_holding in enumerate(mean_holdings)
     )
-    return WorkloadSpec(
-        clusters=clusters,
-        per_stream_bandwidth=per_stream_bandwidth,
-        min_hold=min_hold,
-        max_hold=max_hold,
-        seed=seed,
-    )
+    return WorkloadSpec(clusters, per_stream_bandwidth, min_hold, max_hold, seed)
 
 
 def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
@@ -222,9 +176,7 @@ def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
         replace(
             c,
             traffic_rate=c.traffic_rate * multiplier,
-            request_rate=request_rate(
-                c.traffic_rate * multiplier, spec.per_stream_bandwidth
-            ),
+            request_rate=c.traffic_rate * multiplier / spec.per_stream_bandwidth,
             interactive_rate=c.interactive_rate * multiplier,
         )
         for c in spec.clusters
@@ -277,15 +229,17 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
     times_blocks: list[np.ndarray] = [np.empty(0)]
     holds_blocks: list[np.ndarray] = [np.empty(0)]
     class_blocks: list[int] = [0]
-    for cluster, child in zip(spec.clusters, children):
-        rng = np.random.default_rng(child)
-        for rate in (cluster.request_rate, cluster.interactive_rate):
-            times = _arrival_times(rng, rate, horizon)
-            if len(times) == 0:
-                continue
-            times_blocks.append(times)
-            holds_blocks.append(_holding_times(rng, cluster.mean_holding, len(times)))
-            class_blocks.append(cluster.class_id)
+    # a denormal rate makes an infinite gap, which rightly means no arrival
+    with np.errstate(over="ignore"):
+        for cluster, child in zip(spec.clusters, children):
+            rng = np.random.default_rng(child)
+            for rate in (cluster.request_rate, cluster.interactive_rate):
+                times = _arrival_times(rng, rate, horizon)
+                if len(times) == 0:
+                    continue
+                times_blocks.append(times)
+                holds_blocks.append(_holding_times(rng, cluster.mean_holding, len(times)))
+                class_blocks.append(cluster.class_id)
 
     all_times = np.concatenate(times_blocks)
     order = np.argsort(all_times, kind="stable")

@@ -274,6 +274,7 @@ class TestMainCli:
             "horizon = 1e308\n",
             "min_rate = 1e-310\nmax_rate = 1\n",
             "num_partitions = 18446744073709551615\n",
+            "num_clusters = 1000000000\nmin_rate = 0\nmax_rate = 0\nstrategy = uncontrolled\n",
         ],
         ids=[
             "bandwidth-inf",
@@ -286,6 +287,7 @@ class TestMainCli:
             "horizon-huge",
             "min-rate-tiny",
             "partitions-past-2-64",
+            "idle-clusters-past-cap",
         ],
     )
     def test_unusable_values_exit_2_without_traceback(self, tmp_path, text):
@@ -297,6 +299,20 @@ class TestMainCli:
         )
         assert result.returncode == 2, result.stderr
         assert "configuration error" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_compare_analytic_refuses_a_huge_port_total(self, tmp_path):
+        # Erlang-B loops once per port, so 10**12 ports would not finish
+        text = "num_clusters = 1\nnum_partitions = 1\nports_per_partition = 1000000000000\n"
+        result = subprocess.run(
+            [sys.executable, "-m", "vodsim", "compare-analytic", "--config",
+             self.write_config(tmp_path, text)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "ports_per_partition" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):

@@ -77,9 +77,12 @@ class TestParseErrors:
         with pytest.raises(ConfigurationError, match="min_hold.*line 1"):
             parse_config("min_hold = 300\n")
 
-    def test_bad_choice_rejected(self):
-        with pytest.raises(ConfigurationError, match="strategy"):
-            parse_config("strategy = sometimes\n")
+    @pytest.mark.parametrize(
+        "key", ["strategy", "policy_preset", "weight_scaling", "sweep_mode"]
+    )
+    def test_bad_choice_rejected(self, key):
+        with pytest.raises(ConfigurationError, match=rf"{key} must be one of.*line 1"):
+            parse_config(f"{key} = sometimes\n")
 
     def test_warmup_at_horizon_rejected(self):
         with pytest.raises(ConfigurationError, match="warmup"):
@@ -108,6 +111,20 @@ class TestParseErrors:
         assert parse_config("num_partitions = 1000000").num_partitions == 10**6
         with pytest.raises(ConfigurationError, match="num_partitions"):
             parse_config("num_partitions = 1000001")
+
+    def test_cluster_count_bounded_without_traffic(self):
+        # with no traffic the arrival bound is 0, so only the cap stops this
+        # before the workload allocates a spec per cluster
+        idle = "min_rate = 0\nmax_rate = 0\nstrategy = uncontrolled\n"
+        assert parse_config(idle + "num_clusters = 1000000").num_clusters == 10**6
+        with pytest.raises(ConfigurationError, match="num_clusters.*line 4"):
+            parse_config(idle + "num_clusters = 1000001")
+
+    def test_port_total_bounded(self):
+        text = "num_partitions = 10\nports_per_partition = 1000000"
+        assert parse_config(text).capacities() == [10**6] * 10
+        with pytest.raises(ConfigurationError, match="ports_per_partition.*line 2"):
+            parse_config("num_partitions = 10\nports_per_partition = 1000001")
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="seed"):

@@ -10,10 +10,8 @@ from reference_engine import SessionRequest
 from vodsim.traffic import (
     ClusterSpec,
     WorkloadSpec,
-    build_clusters,
     build_workload,
     merged_arrival_stream,
-    request_rate,
     scale_workload,
 )
 
@@ -35,50 +33,67 @@ def single_cluster_workload(rate_per_s, mean_hold, seed, interactive=0.0):
     )
 
 
+def reference_rates(count, min_rate, max_rate, per_stream_bandwidth=1.0):
+    """A workload whose only varying inputs are the cluster count and rates."""
+    return build_workload(count, min_rate, max_rate, per_stream_bandwidth, 1.0, 2.0, seed=0)
+
+
 class TestBuildClusters:
     def test_reference_scale_rates(self):
-        clusters = build_clusters(30, 1.0, 15.5)
+        clusters = reference_rates(30, 1.0, 15.5).clusters
         rates = [c.traffic_rate for c in clusters]
         assert rates == [1.0 + 0.5 * c for c in range(30)]
         assert rates[1] == 1.5
         assert rates[-1] == 15.5
 
     def test_single_cluster_uses_min_rate(self):
-        (only,) = build_clusters(1, 5.0, 5.0)
+        (only,) = reference_rates(1, 5.0, 5.0).clusters
         assert only.traffic_rate == 5.0
 
     def test_three_point_spacing(self):
-        rates = [c.traffic_rate for c in build_clusters(3, 1.0, 2.0)]
+        rates = [c.traffic_rate for c in reference_rates(3, 1.0, 2.0).clusters]
         assert rates == [1.0, 1.5, 2.0]
 
     def test_zero_count_rejected(self):
-        with pytest.raises(ValueError):
-            build_clusters(0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="cluster count"):
+            reference_rates(0, 1.0, 2.0)
 
     def test_inverted_range_rejected(self):
-        with pytest.raises(ValueError):
-            build_clusters(3, 2.0, 1.0)
+        with pytest.raises(ValueError, match="rates"):
+            reference_rates(3, 2.0, 1.0)
 
     def test_request_rates_derived_from_bandwidth(self):
-        clusters = build_clusters(2, 1.0, 2.0, per_stream_bandwidth=0.5)
+        clusters = reference_rates(2, 1.0, 2.0, per_stream_bandwidth=0.5).clusters
         assert [c.request_rate for c in clusters] == [2.0, 4.0]
 
 
 class TestRequestRate:
     def test_division(self):
-        assert request_rate(1.0, 0.5) == 2.0
-        assert request_rate(15.5, 0.5) == 31.0
+        clusters = reference_rates(2, 1.0, 15.5, per_stream_bandwidth=0.5).clusters
+        assert [c.request_rate for c in clusters] == [2.0, 31.0]
 
     def test_zero_traffic_is_zero(self):
-        assert request_rate(0.0, 0.5) == 0.0
+        base = reference_rates(2, 0.0, 0.0, per_stream_bandwidth=0.5)
+        assert [c.request_rate for c in base.clusters] == [0.0, 0.0]
+        scaled = scale_workload(reference_rates(2, 1.0, 2.0), 0.0)
+        assert [c.request_rate for c in scaled.clusters] == [0.0, 0.0]
 
     def test_zero_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            request_rate(1.0, 0.0)
+        with pytest.raises(ValueError, match="per_stream_bandwidth"):
+            reference_rates(2, 1.0, 2.0, per_stream_bandwidth=0.0)
 
     def test_negative_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            request_rate(1.0, -1.0)
+        with pytest.raises(ValueError, match="per_stream_bandwidth"):
+            reference_rates(2, 1.0, 2.0, per_stream_bandwidth=-1.0)
+
+    def test_scaled_request_rate_is_scaled_traffic_over_bandwidth(self):
+        # bit-equal: the sweep's CSV depends on these exact doubles
+        base = reference_rates(30, 1.0, 15.5, per_stream_bandwidth=100.0)
+        for multiplier in (1.5, 1 / 3, 15.5):
+            scaled = scale_workload(base, multiplier)
+            assert [c.request_rate for c in scaled.clusters] == [
+                c.traffic_rate * multiplier / 100.0 for c in base.clusters
+            ]
 
 
 class TestMergedStream:

@@ -16,6 +16,7 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 from .analytic import erlang_b
 from .config import (
@@ -28,25 +29,35 @@ from .config import (
 from .engine import POLICY, UNCONTROLLED, UNCONTROLLED_STRATEGY, StrategySpec, run
 from .errors import ConfigurationError, InternalConsistencyError, UndefinedMetricError
 from .metrics import RunMetrics, SweepPoint, aggregate, to_csv
-from .traffic import WorkloadSpec, scale_workload
+from .traffic import WorkloadSpec, merged_arrival_stream, scale_workload
 
 
 def _replications(
     config: ScenarioConfig,
     workload: WorkloadSpec,
-    strategy: StrategySpec,
+    strategies: Sequence[tuple[str, StrategySpec]],
     point_index: int = 0,
-) -> tuple[RunMetrics, ...]:
-    """Run the replications of sweep point ``point_index`` under one strategy.
+) -> list[tuple[str, tuple[RunMetrics, ...]]]:
+    """Run the replications of sweep point ``point_index`` under each strategy.
 
-    Replication r runs with seed + point_index * POINT_SEED_STRIDE + r.
+    Replication r runs with seed + point_index * POINT_SEED_STRIDE + r. Its
+    arrival stream is built once and every strategy runs on it; only one
+    stream is alive at a time. Returns (name, replications) per strategy.
     """
     first = config.seed + point_index * POINT_SEED_STRIDE
     capacities = config.capacities()
-    return tuple(
-        run(workload, capacities, strategy, config.horizon, config.warmup, first + r)
-        for r in range(config.replications)
-    )
+    runs: list[list[RunMetrics]] = [[] for _ in strategies]
+    for seed in range(first, first + config.replications):
+        stream = merged_arrival_stream(replace(workload, seed=seed), config.horizon)
+        for out, (_, strategy) in zip(runs, strategies):
+            out.append(
+                run(
+                    workload, capacities, strategy,
+                    config.horizon, config.warmup, seed, stream,
+                )
+            )
+        del stream
+    return [(name, tuple(out)) for (name, _), out in zip(strategies, runs)]
 
 
 def _restrict_to_class(m: RunMetrics, class_id: int) -> RunMetrics:
@@ -69,8 +80,9 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
     arrival rate by traffic_rate_c / min_rate, so the sweep traces system
     blocking against total offered load. In per_cluster mode the load is
     fixed at the base scenario and each point reports one cluster's own
-    blocking. Matched points across strategies run with the same seeds, so
-    they see identical arrivals.
+    blocking. Each replication's arrival stream is built once and shared by
+    every strategy, so matched points across strategies run with the same
+    seeds on identical arrivals; policy gates draw from their own generator.
     """
     base = config.workload()
     strategies = config.strategy_specs()
@@ -78,8 +90,7 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
     if config.sweep_mode == SWEEP_PER_CLUSTER:
         offered_total = base.offered_erlangs()
         points = []
-        for name, strategy in strategies:
-            replications = _replications(config, base, strategy)
+        for name, replications in _replications(config, base, strategies):
             for cluster in base.clusters:
                 points.append(
                     SweepPoint.from_replications(
@@ -102,8 +113,7 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
     for point_index, cluster in enumerate(base.clusters):
         scaled = scale_workload(base, cluster.traffic_rate / config.min_rate)
         offered = scaled.offered_erlangs()
-        for name, strategy in strategies:
-            replications = _replications(config, scaled, strategy, point_index)
+        for name, replications in _replications(config, scaled, strategies, point_index):
             points.append(
                 SweepPoint.from_replications(
                     cluster.traffic_rate, offered, name, replications
@@ -116,13 +126,10 @@ def run_scenario(config: ScenarioConfig) -> list[SweepPoint]:
     """Run the base scenario (no load scaling) once per configured strategy."""
     workload = config.workload()
     offered = workload.offered_erlangs()
-    points = []
-    for name, strategy in config.strategy_specs():
-        replications = _replications(config, workload, strategy)
-        points.append(
-            SweepPoint.from_replications(config.max_rate, offered, name, replications)
-        )
-    return points
+    return [
+        SweepPoint.from_replications(config.max_rate, offered, name, replications)
+        for name, replications in _replications(config, workload, config.strategy_specs())
+    ]
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,9 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
     offered = workload.offered_erlangs()
     capacity = sum(config.capacities())
     analytic = erlang_b(offered, capacity)
-    replications = _replications(config, workload, UNCONTROLLED_STRATEGY)
+    [(_, replications)] = _replications(
+        config, workload, [(UNCONTROLLED, UNCONTROLLED_STRATEGY)]
+    )
     try:
         simulated, halfwidth = aggregate(replications, "server")
     except UndefinedMetricError:

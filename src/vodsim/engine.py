@@ -14,6 +14,15 @@ busy-port counter and a heap of departure times. A departure at the same
 time as an arrival is handled first, so a port freed "now" is available
 to an arrival "now". While all ports are busy, every arrival before the
 next departure is blocked, and the loop skips that run in one bisection.
+Until the first arrival that finds all N ports busy, no arrival is
+blocked, so that prefix is admitted in numpy and the loop starts after it.
+
+The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
+runs several strategies at one seed builds it once and passes it to each
+run, so every strategy sees the same arrivals. Policy gate uniforms are the
+doubles of ``random.Random(seed ^ _GATE_SEED_MIX).random()``, one per
+arrival in arrival order, drawn in one vectorised call from that
+generator's Mersenne Twister state.
 
 A run is strictly single-threaded and a pure function of its arguments;
 independent runs share no state and may execute concurrently.
@@ -32,7 +41,7 @@ import numpy as np
 from .analytic import PolicyWeights
 from .errors import ConfigurationError, InternalConsistencyError
 from .metrics import ClassCounts, RunMetrics
-from .traffic import WorkloadSpec, merged_arrival_stream
+from .traffic import ArrivalStream, WorkloadSpec, merged_arrival_stream
 
 UNCONTROLLED = "uncontrolled"
 POLICY = "policy"
@@ -83,21 +92,83 @@ class StrategySpec:
 UNCONTROLLED_STRATEGY = StrategySpec(UNCONTROLLED)
 
 
+def _gate_uniforms(seed: int, n: int) -> np.ndarray:
+    """The first n doubles of ``random.Random(seed ^ _GATE_SEED_MIX).random()``.
+
+    That generator and numpy's legacy ``RandomState`` are both MT19937 and
+    both build a double from two 32-bit outputs the same way (53-bit
+    ``genrand_res53``), so the one's state loaded into the other gives the
+    same doubles from one vectorised call.
+    """
+    key = random.Random(seed ^ _GATE_SEED_MIX).getstate()[1]
+    twister = np.random.RandomState()
+    twister.set_state(("MT19937", key[:624], key[624]))
+    return twister.random_sample(n)
+
+
+def _admission(
+    times: np.ndarray, holds: np.ndarray, ports: int, horizon: float
+) -> np.ndarray:
+    """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
+
+    While every earlier arrival is admitted, arrival i finds at most
+    busy_i = #{j < i : times[j] + holds[j] >= times[i]} ports busy (a session
+    ending exactly at times[i] has in fact left, so a tie can end this
+    prefix early but never late). Every arrival before the first
+    busy_i >= ports is therefore admitted. busy_i is counted over a window
+    of leading arrivals that doubles until it holds that arrival, so the
+    cost is bounded by the prefix, not by the stream. ``_pooled_admission``
+    takes over from there, with the prefix's sessions still in progress as
+    its departure heap.
+    """
+    n = len(times)
+    window = 2 * ports + 1
+    while True:
+        w = min(window, n)
+        ends = np.sort(times[:w] + holds[:w])
+        # every j >= i ends at or after times[i], so "< times[i]" counts only j < i
+        busy = np.arange(w) - np.searchsorted(ends, times[:w], "left")
+        full = np.flatnonzero(busy >= ports)
+        if len(full) or w == n:
+            break
+        window *= 2
+    start = int(full[0]) if len(full) else n
+    ends = times[:start] + holds[:start]
+    resume = times[start] if start < n else horizon
+    admitted = np.ones(n, dtype=bool)
+    admitted[start:] = np.frombuffer(
+        _pooled_admission(
+            times[start:].tolist(),
+            holds[start:].tolist(),
+            ports,
+            horizon,
+            np.sort(ends[ends > resume]).tolist(),
+        ),
+        dtype=bool,
+    )
+    return admitted
+
+
 def _pooled_admission(
-    times: list[float], holds: list[float], ports: int, horizon: float
+    times: list[float],
+    holds: list[float],
+    ports: int,
+    horizon: float,
+    departures: list[float],
 ) -> bytearray:
     """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
 
-    Arrival i is admitted, and holds a port for ``holds[i]``, when a port is
-    free once every departure at or before ``times[i]`` has left. While all
-    ports are busy, every arrival before the next departure is blocked, so
-    that run is skipped in one bisection. Departures are then drained up to
-    ``horizon`` for the final occupancy check.
+    ``departures`` is a heap of the end times of earlier sessions, each
+    holding a port until it ends; the loop consumes it. Arrival i is
+    admitted, and holds a port for ``holds[i]``, when a port is free once
+    every departure at or before ``times[i]`` has left. While all ports are
+    busy, every arrival before the next departure is blocked, so that run is
+    skipped in one bisection. Departures are then drained up to ``horizon``
+    for the final occupancy check.
     """
     n = len(times)
     admitted = bytearray(n)
-    departures: list[float] = []
-    busy = 0
+    busy = len(departures)
     i = 0
     while i < n:
         t = times[i]
@@ -131,15 +202,18 @@ def run(
     horizon: float,
     warmup: float,
     seed: int,
+    stream: ArrivalStream | None = None,
 ) -> RunMetrics:
     """Simulate the workload against the partitioned server, return counters.
 
-    The seed drives everything: the arrival stream is regenerated from the
-    workload with this seed substituted, and policy gate draws come from an
-    independently derived generator, one draw per arrival in arrival order,
-    so uncontrolled and policy runs at the same seed see the same arrivals.
-    Counters only include requests arriving at or after warmup; earlier
-    requests still evolve the state.
+    The seed drives everything. The arrival stream is
+    ``merged_arrival_stream(replace(workload, seed=seed), horizon)``: pass
+    it as ``stream`` to share one stream among the strategies run at this
+    seed, or leave ``stream`` out and the run builds it. Policy gate
+    uniforms are the doubles of ``random.Random(seed ^ _GATE_SEED_MIX)``,
+    one per arrival in arrival order, so uncontrolled and policy runs at
+    the same seed see the same arrivals. Counters only include requests
+    arriving at or after warmup; earlier requests still evolve the state.
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
@@ -154,19 +228,15 @@ def run(
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
             raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
 
-    stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
+    if stream is None:
+        stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
     times, holds, classes = stream.time, stream.hold, stream.class_id
     passed = np.ones(len(stream), dtype=bool)
     if strategy.mode == POLICY:
-        draw = random.Random(seed ^ _GATE_SEED_MIX).random
-        gates = np.array(strategy.gates)[classes]
-        passed = np.array([draw() for _ in range(len(stream))]) < gates
+        passed = _gate_uniforms(seed, len(stream)) < np.array(strategy.gates)[classes]
         times, holds = times[passed], holds[passed]
     admitted = np.zeros(len(stream), dtype=bool)
-    admitted[passed] = np.frombuffer(
-        _pooled_admission(times.tolist(), holds.tolist(), sum(capacities), horizon),
-        dtype=bool,
-    )
+    admitted[passed] = _admission(times, holds, sum(capacities), horizon)
 
     counted = stream.time >= warmup
     num_classes = len(workload.clusters)

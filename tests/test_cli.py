@@ -8,6 +8,8 @@ from dataclasses import fields, replace
 import pytest
 
 import vodsim.cli
+import vodsim.engine
+import vodsim.traffic
 from vodsim.cli import compare_analytic, main, run_scenario, run_sweep
 from vodsim.config import ScenarioConfig, parse_config
 from vodsim.errors import ConfigurationError, InternalConsistencyError
@@ -121,6 +123,41 @@ class TestRunScenario:
         assert to_csv(run_scenario(small_config())) == to_csv(
             run_scenario(small_config())
         )
+
+
+class TestSharedStream:
+    """Each replication's arrival stream is built once, for every strategy."""
+
+    @pytest.fixture
+    def stream_seeds(self, monkeypatch):
+        seeds = []
+        build = vodsim.traffic.merged_arrival_stream
+
+        def counted(spec, horizon):
+            seeds.append(spec.seed)
+            return build(spec, horizon)
+
+        for module in (vodsim.cli, vodsim.engine):
+            monkeypatch.setattr(module, "merged_arrival_stream", counted)
+        return seeds
+
+    def test_global_sweep_builds_one_per_point_and_replication(self, stream_seeds):
+        config = small_config(strategy="both")
+        run_sweep(config)
+        assert len(stream_seeds) == config.num_clusters * config.replications
+        assert len(set(stream_seeds)) == len(stream_seeds)
+
+    def test_per_cluster_sweep_builds_one_per_replication(self, stream_seeds):
+        # the load is fixed, so the sweep has one load point
+        config = small_config(strategy="both", sweep_mode="per_cluster")
+        run_sweep(config)
+        assert len(stream_seeds) == config.replications
+        assert len(set(stream_seeds)) == len(stream_seeds)
+
+    def test_scenario_builds_one_per_replication(self, stream_seeds):
+        config = small_config(strategy="both")
+        run_scenario(config)
+        assert stream_seeds == [config.seed + r for r in range(config.replications)]
 
 
 class TestCompareAnalytic:

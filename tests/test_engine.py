@@ -2,9 +2,11 @@
 reference engine that ``run`` is checked against."""
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_engine import (
@@ -20,14 +22,17 @@ from reference_engine import (
 )
 from vodsim.analytic import PolicyWeights, erlang_b
 from vodsim.engine import (
+    _GATE_SEED_MIX,
     UNCONTROLLED_STRATEGY,
     StrategySpec,
+    _admission,
+    _gate_uniforms,
     _pooled_admission,
     run,
 )
 from vodsim.errors import ConfigurationError, InternalConsistencyError
 from vodsim.metrics import blocking_probability
-from vodsim.traffic import ClusterSpec, WorkloadSpec
+from vodsim.traffic import ClusterSpec, WorkloadSpec, merged_arrival_stream
 
 
 def make_workload(rate, mean_hold, *, num_clusters=1, interactive=0.0, seed=0):
@@ -307,35 +312,70 @@ class TestRun:
         assert blocking_probability(m_with) > blocking_probability(m_without)
 
 
+def admission_flags(times, holds, ports, horizon=30.0):
+    """Admitted flags of ``_admission``, checked against the loop alone."""
+    flags = _admission(np.array(times, float), np.array(holds, float), ports, horizon)
+    loop = _pooled_admission(times, holds, ports, horizon, [])
+    assert flags.tolist() == [bool(f) for f in loop]
+    return flags.tolist()
+
+
 class TestPooledAdmission:
     def test_blocked_run_is_skipped_to_the_next_departure(self):
         times = [0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 4.0]
         holds = [3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
         # port busy over [0, 3): arrivals at 1, 1, 2 are blocked; the one at
         # 3 takes it, the second at 3 is blocked, the one at 4 takes it again
-        assert list(_pooled_admission(times, holds, 1, 10.0)) == [1, 0, 0, 0, 1, 0, 1]
+        assert admission_flags(times, holds, 1, 10.0) == [1, 0, 0, 0, 1, 0, 1]
 
     def test_zero_ports_block_everything(self):
-        assert list(_pooled_admission([0.0, 1.0], [1.0, 1.0], 0, 10.0)) == [0, 0]
+        assert admission_flags([0.0, 1.0], [1.0, 1.0], 0, 10.0) == [0, 0]
 
-    @settings(max_examples=200, deadline=None)
+    def test_initial_departures_hold_ports(self):
+        assert list(_pooled_admission([5.0], [1.0], 1, 10.0, [6.0])) == [0]
+        assert list(_pooled_admission([5.0], [1.0], 1, 10.0, [5.0])) == [1]
+
+    def test_zero_hold_tie_with_the_first_full_arrival(self):
+        # the zero hold at 1 ends when it arrives, at the time of the first
+        # arrival that finds the one port full: it must not free that port
+        assert admission_flags([0.0, 1.0, 1.0], [5.0, 3.0, 0.0], 1) == [1, 0, 0]
+        # a zero hold ahead of a tie has left, so the next arrival is admitted
+        assert admission_flags([0.0, 0.0, 1.0], [0.0, 2.0, 1.0], 1) == [1, 1, 0]
+
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.tuples(st.integers(0, 20), st.integers(1, 5)), max_size=40),
-        st.integers(0, 4),
+        st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)), max_size=40),
+        st.data(),
     )
-    def test_integer_times_match_a_direct_count(self, arrivals, ports):
-        # with integer times most arrivals tie with a departure; a port
-        # whose session ends at t must be free for an arrival at t
+    def test_integer_times_match_a_direct_count(self, arrivals, data):
+        # with integer times most arrivals tie with a departure, and a zero
+        # hold ends at its own arrival; a port whose session ends at t must
+        # be free for an arrival at t. Up to one port per arrival, so the
+        # no-blocking prefix can be any part of the stream.
+        ports = data.draw(st.integers(0, len(arrivals)))
         arrivals.sort(key=lambda a: a[0])
         times = [float(t) for t, _ in arrivals]
         holds = [float(h) for _, h in arrivals]
-        flags = _pooled_admission(times, holds, ports, 30.0)
+        flags = admission_flags(times, holds, ports)
         ends = []
         for i, (t, h) in enumerate(zip(times, holds)):
             free = sum(1 for e in ends if e > t) < ports
             assert flags[i] == free
             if free:
                 ends.append(t + h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 5_000))
+@example(0, 5_000)
+@example(1, 5_000)
+@example(42, 5_000)
+@example(12345678901234, 5_000)
+@example(2**64 - 1, 5_000)
+@example(42, 0)
+def test_gate_uniforms_are_the_python_generator_doubles(seed, n):
+    draw = random.Random(seed ^ _GATE_SEED_MIX).random
+    assert _gate_uniforms(seed, n).tolist() == [draw() for _ in range(n)]
 
 
 @st.composite
@@ -374,4 +414,9 @@ def small_runs(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_runs())
 def test_run_equals_reference_engine(case):
-    assert run(*case) == reference_run(*case)
+    workload, _, _, horizon, _, seed = case
+    expected = reference_run(*case)
+    assert run(*case) == expected
+    # a stream built once for the seed, as the CLI shares it among strategies
+    stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
+    assert run(*case, stream=stream) == expected

@@ -13,6 +13,7 @@ from .analytic import (
     erlang_k_pdf,
     free_port_selection_prob,
     policy_admission_prob,
+    pooled_blocking,
 )
 from .config import ScenarioConfig, load_config, parse_config
 from .engine import StrategySpec, run

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InternalConsistencyError
+
+if TYPE_CHECKING:
+    from .traffic import WorkloadSpec
 
 # erlang_b_direct is only supported where every factorial in the sum fits a
 # double (170! is the largest); beyond that the recurrence must be used.
@@ -109,6 +112,27 @@ def erlang_b_direct(load: float, capacity: int) -> float:
             "use erlang_b (recurrence form) instead"
         )
     return _checked_probability(terms[-1] / denominator, "erlang_b_direct")
+
+
+def pooled_blocking(
+    workload: WorkloadSpec, ports: int, gates: Sequence[float] | None = None
+) -> float:
+    """Steady-state server blocking of a workload on ``ports`` pooled ports.
+
+    erlang_b(sum over classes c of g_c * (lambda_c + i_c) * h_c, ports),
+    with g_c the pass probability of class c's policy gate (1 when
+    ``gates`` is None). It is exact because a request that reaches the
+    server is blocked exactly when all ports are busy, Erlang-B does not
+    depend on the holding-time law (Sevastyanov 1957), and a Bernoulli gate
+    thins a Poisson stream into a Poisson stream.
+    """
+    if gates is None:
+        gates = (1.0,) * len(workload.clusters)
+    load = sum(
+        g * (c.request_rate + c.interactive_rate) * c.mean_holding
+        for g, c in zip(gates, workload.clusters, strict=True)
+    )
+    return erlang_b(load, ports)
 
 
 def chain_blocking(chain: Iterable[tuple[float, int]]) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .analytic import erlang_b
+from .analytic import pooled_blocking
 from .config import (
     BOTH,
     POINT_SEED_STRIDE,
@@ -159,9 +159,8 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
     if not tolerance >= 0:
         raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
     workload = config.workload()
-    offered = workload.offered_erlangs()
     capacity = sum(config.capacities())
-    analytic = erlang_b(offered, capacity)
+    analytic = pooled_blocking(workload, capacity)
     [(_, replications)] = _replications(
         config, workload, [(UNCONTROLLED, UNCONTROLLED_STRATEGY)]
     )
@@ -172,7 +171,7 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
         simulated, halfwidth = 0.0, 0.0
     difference = abs(simulated - analytic)
     return AnalyticComparison(
-        offered_erlangs=offered,
+        offered_erlangs=workload.offered_erlangs(),
         capacity=capacity,
         analytic_blocking=analytic,
         simulated_blocking=simulated,

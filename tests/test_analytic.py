@@ -16,7 +16,9 @@ from vodsim.analytic import (
     erlang_k_pdf,
     free_port_selection_prob,
     policy_admission_prob,
+    pooled_blocking,
 )
+from vodsim.traffic import ClusterSpec, WorkloadSpec
 
 # Bounded so the recurrence never underflows to exactly 0, which would
 # break strict-monotonicity assertions on denormal-range values.
@@ -146,6 +148,27 @@ class TestErlangBDirect:
     def test_oracle_equivalence_grid(self, e):
         for c in range(21):
             assert abs(erlang_b(e, c) - erlang_b_direct(e, c)) < 1e-12
+
+
+class TestPooledBlocking:
+    def workload(self):
+        c0 = ClusterSpec(0, 2.0, 2.0, 3.0)
+        c1 = ClusterSpec(1, 4.0, 4.0, 1.5, interactive_rate=1.0)
+        return WorkloadSpec((c0, c1), 1.0, 1.0, 4.0, 0)
+
+    def test_ungated_is_erlang_b_of_the_offered_load(self):
+        w = self.workload()
+        assert pooled_blocking(w, 10) == erlang_b(w.offered_erlangs(), 10)
+
+    def test_gates_thin_each_class(self):
+        # class 0 offers 6 erlangs, class 1 offers 5 * 1.5 = 7.5
+        w = self.workload()
+        assert pooled_blocking(w, 4, (0.5, 0.0)) == pytest.approx(erlang_b(3.0, 4))
+        assert pooled_blocking(w, 4, (1.0, 1.0)) == pooled_blocking(w, 4)
+
+    def test_one_gate_per_class(self):
+        with pytest.raises(ValueError):
+            pooled_blocking(self.workload(), 4, (1.0,))
 
 
 class TestChainBlocking:

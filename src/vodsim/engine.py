@@ -19,10 +19,9 @@ blocked, so that prefix is admitted in numpy and the loop starts after it.
 
 The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
 runs several strategies at one seed builds it once and passes it to each
-run, so every strategy sees the same arrivals. Policy gate uniforms are the
-doubles of ``random.Random(seed ^ _GATE_SEED_MIX).random()``, one per
-arrival in arrival order, drawn in one vectorised call from that
-generator's Mersenne Twister state.
+run, so every strategy sees the same arrivals. Policy gate uniforms, one
+per arrival in arrival order, come in one call from the run's own
+generator, seeded from the run seed under the gate tag.
 
 A run is strictly single-threaded and a pure function of its arguments;
 independent runs share no state and may execute concurrently.
@@ -30,7 +29,6 @@ independent runs share no state and may execute concurrently.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -41,7 +39,7 @@ import numpy as np
 from .analytic import PolicyWeights
 from .errors import ConfigurationError, InternalConsistencyError
 from .metrics import ClassCounts, RunMetrics
-from .traffic import ArrivalStream, WorkloadSpec, merged_arrival_stream
+from .traffic import _GATE_TAG, ArrivalStream, WorkloadSpec, merged_arrival_stream
 
 UNCONTROLLED = "uncontrolled"
 POLICY = "policy"
@@ -50,11 +48,6 @@ MODES = (UNCONTROLLED, POLICY)
 LITERAL = "literal"
 MAX_NORMALIZED = "max_normalized"
 SCALINGS = (LITERAL, MAX_NORMALIZED)
-
-# XORed into the run seed for the gate generator, so policy coin flips are
-# decorrelated from the arrival stream drawn under the same seed.
-_GATE_SEED_MIX = 0x9E3779B97F4A7C15
-
 
 @dataclass(frozen=True)
 class StrategySpec:
@@ -90,20 +83,6 @@ class StrategySpec:
 
 
 UNCONTROLLED_STRATEGY = StrategySpec(UNCONTROLLED)
-
-
-def _gate_uniforms(seed: int, n: int) -> np.ndarray:
-    """The first n doubles of ``random.Random(seed ^ _GATE_SEED_MIX).random()``.
-
-    That generator and numpy's legacy ``RandomState`` are both MT19937 and
-    both build a double from two 32-bit outputs the same way (53-bit
-    ``genrand_res53``), so the one's state loaded into the other gives the
-    same doubles from one vectorised call.
-    """
-    key = random.Random(seed ^ _GATE_SEED_MIX).getstate()[1]
-    twister = np.random.RandomState()
-    twister.set_state(("MT19937", key[:624], key[624]))
-    return twister.random_sample(n)
 
 
 def _admission(
@@ -210,10 +189,11 @@ def run(
     ``merged_arrival_stream(replace(workload, seed=seed), horizon)``: pass
     it as ``stream`` to share one stream among the strategies run at this
     seed, or leave ``stream`` out and the run builds it. Policy gate
-    uniforms are the doubles of ``random.Random(seed ^ _GATE_SEED_MIX)``,
-    one per arrival in arrival order, so uncontrolled and policy runs at
-    the same seed see the same arrivals. Counters only include requests
-    arriving at or after warmup; earlier requests still evolve the state.
+    uniforms, one per arrival in arrival order, are drawn from
+    ``default_rng(SeedSequence([_GATE_TAG, seed]))``, a generator apart
+    from the stream's, so uncontrolled and policy runs at the same seed see
+    the same arrivals. Counters only include requests arriving at or after
+    warmup; earlier requests still evolve the state.
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
@@ -233,7 +213,8 @@ def run(
     times, holds, classes = stream.time, stream.hold, stream.class_id
     passed = np.ones(len(stream), dtype=bool)
     if strategy.mode == POLICY:
-        passed = _gate_uniforms(seed, len(stream)) < np.array(strategy.gates)[classes]
+        gate_rng = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed]))
+        passed = gate_rng.random(len(stream)) < np.array(strategy.gates)[classes]
         times, holds = times[passed], holds[passed]
     admitted = np.zeros(len(stream), dtype=bool)
     admitted[passed] = _admission(times, holds, sum(capacities), horizon)

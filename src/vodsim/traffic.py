@@ -2,11 +2,13 @@
 
 A workload is a set of client clusters, each offering sessions at a rate
 derived from its traffic rate in Mb/s and the bandwidth one admitted stream
-consumes. Arrivals are Poisson per cluster (inverse-CDF exponential gaps),
-holding times are exponential with a per-cluster mean, and the merged
-stream is the time-sorted superposition of all clusters, returned as an
-:class:`ArrivalStream` of parallel numpy arrays (arrival time, holding
-time, class id) rather than one object per request.
+consumes. Arrivals are Poisson per cluster and holding times exponential
+with a per-cluster mean. The merged stream, the superposition of all
+clusters, is drawn whole from one generator per run: a Poisson count,
+sorted times from normalised exponential spacings, and a class mark per
+arrival. It is returned as an :class:`ArrivalStream` of parallel numpy
+arrays (arrival time, holding time, class id) rather than one object per
+request.
 
 All randomness flows from explicit seeds. Generator state is single-owner:
 one stream is advanced by one caller at a time; distinct seeds may run
@@ -24,10 +26,11 @@ import numpy as np
 # must lie below this.
 SEED_LIMIT = 2**64
 
-# SeedSequence stream tags, so holding-mean draws and arrival draws never
-# share a generator even under the same base seed.
+# SeedSequence stream tags, so holding-mean draws, arrival draws and policy
+# gate draws never share a generator even under the same base seed.
 _HOLD_DRAW_TAG = 0
 _ARRIVAL_TAG = 1
+_GATE_TAG = 2
 
 
 @dataclass(frozen=True)
@@ -184,66 +187,43 @@ def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
     return replace(spec, clusters=clusters)
 
 
-def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniforms on (0, 1): redraw the (vanishingly rare) exact zeros."""
-    u = rng.random(n)
-    mask = u == 0.0
-    while mask.any():
-        u[mask] = rng.random(int(mask.sum()))
-        mask = u == 0.0
-    return u
-
-
-def _arrival_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """Cumulative Poisson arrival times on [0, horizon), drawn in chunks."""
-    if rate <= 0:
-        return np.empty(0)
-    expected = rate * horizon
-    chunk = max(16, int(expected + 6.0 * math.sqrt(expected)) + 16)
-    gaps = -np.log1p(-_uniform_open(rng, chunk)) / rate
-    times = np.cumsum(gaps)
-    while times[-1] < horizon:
-        gaps = -np.log1p(-_uniform_open(rng, chunk)) / rate
-        times = np.concatenate([times, times[-1] + np.cumsum(gaps)])
-    return times[times < horizon]
-
-
-def _holding_times(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
-    return -mean * np.log1p(-_uniform_open(rng, n))
-
-
 def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
-    """Superpose all cluster streams into one time-sorted arrival stream.
+    """The merged arrivals of all clusters on [0, horizon), sorted by time.
 
-    Each cluster draws from its own generator, spawned deterministically
-    from the workload seed, so the merged stream is a pure function of
-    (spec, horizon). Ties in arrival time keep cluster order (stable sort).
+    One generator, seeded from the workload seed, draws the whole stream,
+    so it is a pure function of (spec, horizon). With class c arriving at
+    rate lambda_c + i_c (steady plus interactive) and Lambda their sum:
+
+    - the arrival count is Poisson(Lambda * horizon);
+    - given n arrivals, the times are the normalised partial sums of n + 1
+      standard exponentials, which are n sorted uniforms on (0, 1) (Renyi
+      1953), scaled by the horizon;
+    - each arrival is marked with class c with probability
+      lambda_c / Lambda, which gives independent Poisson streams per class
+      (the colouring theorem);
+    - its hold is exponential with its class's mean.
+
+    A class with rate 0 is never marked. A denormal rate needs no guard: it
+    only makes the Poisson mean tiny.
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-
-    root = np.random.SeedSequence([_ARRIVAL_TAG, spec.seed])
-    children = root.spawn(len(spec.clusters))
-
-    # an empty first block lets a workload without arrivals take the same path
-    times_blocks: list[np.ndarray] = [np.empty(0)]
-    holds_blocks: list[np.ndarray] = [np.empty(0)]
-    class_blocks: list[int] = [0]
-    # a denormal rate makes an infinite gap, which rightly means no arrival
-    with np.errstate(over="ignore"):
-        for cluster, child in zip(spec.clusters, children):
-            rng = np.random.default_rng(child)
-            for rate in (cluster.request_rate, cluster.interactive_rate):
-                times = _arrival_times(rng, rate, horizon)
-                if len(times) == 0:
-                    continue
-                times_blocks.append(times)
-                holds_blocks.append(_holding_times(rng, cluster.mean_holding, len(times)))
-                class_blocks.append(cluster.class_id)
-
-    all_times = np.concatenate(times_blocks)
-    order = np.argsort(all_times, kind="stable")
-    class_ids = np.repeat(class_blocks, [len(t) for t in times_blocks])
-    return ArrivalStream(
-        all_times[order], np.concatenate(holds_blocks)[order], class_ids[order]
-    )
+    rates = np.array([c.request_rate + c.interactive_rate for c in spec.clusters])
+    live = np.flatnonzero(rates > 0)
+    bounds = np.cumsum(rates[live])
+    total = float(bounds[-1]) if len(live) else 0.0
+    rng = np.random.default_rng(np.random.SeedSequence([_ARRIVAL_TAG, spec.seed]))
+    n = int(rng.poisson(total * horizon))
+    sums = np.cumsum(rng.standard_exponential(n + 1))
+    # x = sums[k] / sums[n] < 1 gives horizon * x < horizon for a normal
+    # horizon. But sums[n - 1] rounds to sums[n] when the last spacing is
+    # below half an ulp of the sum (x = 1), and a subnormal horizon can round
+    # horizon * x up to itself: the clip to the largest double below the
+    # horizon keeps every time in [0, horizon).
+    times = np.minimum(sums[:n] / sums[n] * horizon, np.nextafter(horizon, 0.0))
+    # searching only the inner bounds of the live classes maps every mark,
+    # even one that rounds up to the total, onto a class with a positive rate
+    classes = live[np.searchsorted(bounds[:-1], rng.random(n) * total, "right")]
+    means = np.array([c.mean_holding for c in spec.clusters])
+    holds = rng.standard_exponential(n) * means[classes]
+    return ArrivalStream(times, holds, classes)

@@ -17,10 +17,12 @@ import random
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
-from vodsim.engine import _GATE_SEED_MIX, POLICY, StrategySpec
+import numpy as np
+
+from vodsim.engine import POLICY, StrategySpec
 from vodsim.errors import ConfigurationError, InternalConsistencyError
 from vodsim.metrics import ClassCounts, RunMetrics
-from vodsim.traffic import WorkloadSpec, merged_arrival_stream
+from vodsim.traffic import _GATE_TAG, WorkloadSpec, merged_arrival_stream
 
 DEPARTURE = 0
 ARRIVAL = 1
@@ -109,7 +111,7 @@ def admit(
     state: ClusterState,
     request: SessionRequest,
     strategy: StrategySpec,
-    rng: random.Random,
+    rng: random.Random | np.random.Generator,
 ) -> AdmissionOutcome:
     """Decide one request: gate it (policy mode), then probe for a free port.
 
@@ -193,7 +195,8 @@ def reference_run(
         )
     state = ClusterState(tuple(capacities))
     stream = request_list(replace(workload, seed=seed), horizon)
-    gate_rng = random.Random(seed ^ _GATE_SEED_MIX)
+    # one scalar draw per request, in arrival order, from the run's gate generator
+    gate_rng = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed]))
 
     num_classes = len(workload.clusters)
     offered = [0] * num_classes

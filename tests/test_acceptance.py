@@ -31,8 +31,9 @@ from vodsim.metrics import aggregate
 from vodsim.traffic import ClusterSpec, WorkloadSpec, merged_arrival_stream
 
 
-# SHA-256 of the default-scenario `vodsim sweep` CSV (perfbench/README.md)
-REFERENCE_SWEEP_SHA256 = "9b3826716b17b9a1ddf56a918ddbc84275aa65b1fcedcd099559b99474fb127d"
+# SHA-256 of the default-scenario `vodsim sweep` CSV; CHANGES.md logs each
+# re-pin with the per-point comparison that justified it
+REFERENCE_SWEEP_SHA256 = "468d721fe76cc03a13d9d78edbe84f9c7d606896b4e9d8c23d04316a71828531"
 
 
 @contextmanager

@@ -40,7 +40,7 @@ interactive_rate = 0.05
 sweep_mode = per_cluster
 replications = 2
 """
-GOLDEN_VARIANT_SHA256 = "1ea51a215bfec89c3cbc64763e0cf37210f5c8b47cfd27f5229f8425b74a7436"
+GOLDEN_VARIANT_SHA256 = "abb6e5edd94ccd9037120ec83086c877eca35053fbd83d27c17c65b828426acf"
 
 
 def small_config(**overrides):

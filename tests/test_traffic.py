@@ -1,6 +1,8 @@
 """Tests for workload construction and Poisson stream generation."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -160,16 +162,54 @@ class TestMergedStream:
         assert abs(len(stream) - 500) <= 3 * math.sqrt(500)
 
     def test_interactive_stream_present_when_enabled(self):
-        # the steady arrivals are drawn first from the cluster's generator,
-        # so enabling the interactive stream adds arrivals and moves none
-        steady = merged_arrival_stream(single_cluster_workload(5.0, 1.0, seed=5), 200.0)
+        # steady and interactive arrivals of a cluster form one Poisson
+        # stream of rate 5 + 2, all in the cluster's class
         both = merged_arrival_stream(
             single_cluster_workload(5.0, 1.0, seed=5, interactive=2.0), 200.0
         )
-        assert np.isin(steady.time, both.time).all()
-        extra = len(both) - len(steady)
-        assert abs(extra - 400) <= 3 * math.sqrt(400)
+        assert abs(len(both) - 1_400) <= 3 * math.sqrt(1_400)
         assert set(both.class_id.tolist()) == {0}
+
+    @pytest.mark.parametrize(
+        "rates", [(2.0, 0.0, 3.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 5.0), (6.0, 0.0, 0.0)]
+    )
+    def test_zero_rate_class_never_arrives(self, rates):
+        clusters = tuple(ClusterSpec(c, r, r, 1.0) for c, r in enumerate(rates))
+        live = {c for c, r in enumerate(rates) if r > 0}
+        for seed in range(20):
+            stream = merged_arrival_stream(WorkloadSpec(clusters, 1.0, 1.0, 1.0, seed), 50.0)
+            assert set(stream.class_id.tolist()) == live
+
+    def test_per_class_counts_are_poisson(self):
+        rates = (1.0, 3.0, 6.0)
+        clusters = tuple(ClusterSpec(c, r, r, 2.0) for c, r in enumerate(rates))
+        horizon = 2_000.0
+        stream = merged_arrival_stream(WorkloadSpec(clusters, 1.0, 2.0, 2.0, 8), horizon)
+        counts = np.bincount(stream.class_id, minlength=3)
+        for count, rate in zip(counts.tolist(), rates):
+            mean = rate * horizon
+            assert abs(count - mean) <= 4 * math.sqrt(mean)
+
+    @pytest.mark.parametrize("rate, interactive", [(0.0, 0.0), (0.0, 1e-310)])
+    def test_no_or_denormal_rate_gives_an_empty_stream_quietly(self, rate, interactive):
+        clusters = tuple(ClusterSpec(c, rate, rate, 1.0, interactive) for c in range(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream = merged_arrival_stream(WorkloadSpec(clusters, 1.0, 1.0, 1.0, 0), 500.0)
+        assert len(stream) == len(stream.hold) == len(stream.class_id) == 0
+
+    @pytest.mark.parametrize(
+        "rate, horizon", [(1_000.0, 3.0), (1e308, sys.float_info.min), (1e308, 1e-308)]
+    )
+    def test_times_lie_before_the_horizon(self, rate, horizon):
+        # the last two horizons are the smallest normal double and a
+        # subnormal one, whose times carry the fewest significant bits
+        arrivals = 0
+        for seed in range(50):
+            stream = merged_arrival_stream(single_cluster_workload(rate, 1.0, seed), horizon)
+            assert np.all(stream.time >= 0) and np.all(stream.time < horizon)
+            arrivals += len(stream)
+        assert arrivals > 0
 
     def test_rejects_nonpositive_horizon(self):
         spec = single_cluster_workload(1.0, 1.0, seed=0)

@@ -9,13 +9,15 @@ Admission depends only on the number of free ports among the N = sum of
 C_j ports of all partitions: a request that passes the gate is blocked
 exactly when all N are busy. Which partition's port it takes changes no
 count, so the engine keeps no home partition and no probe order, and no
-metric, CSV column or CLI output ever depended on them. The server is one
-busy-port counter and a heap of departure times. A departure at the same
-time as an arrival is handled first, so a port freed "now" is available
-to an arrival "now". While all ports are busy, every arrival before the
-next departure is blocked, and the loop skips that run in one bisection.
-Until the first arrival that finds all N ports busy, no arrival is
-blocked, so that prefix is admitted in numpy and the loop starts after it.
+metric, CSV column or CLI output ever depended on them. The server is a
+heap of the end times of at most N sessions; an ended session leaves it
+only when a new one takes its port. While the heap holds fewer than N
+sessions a port is surely free. Once it holds N, a port is free at time t
+exactly when the earliest end is at or before t (a port freed "now" is
+available to an arrival "now"), and every arrival before that end is
+blocked, so the loop skips that run in one bisection. Until the first
+arrival that finds all N ports busy, no arrival is blocked, so that prefix
+is admitted in numpy and the loop starts after it.
 
 The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
 runs several strategies at one seed builds it once and passes it to each
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from heapq import heappop, heappush
+from heapq import heappush, heapreplace
 from typing import Sequence
 
 import numpy as np
@@ -85,20 +87,19 @@ class StrategySpec:
 UNCONTROLLED_STRATEGY = StrategySpec(UNCONTROLLED)
 
 
-def _admission(
-    times: np.ndarray, holds: np.ndarray, ports: int, horizon: float
-) -> np.ndarray:
+def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
     """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
 
-    While every earlier arrival is admitted, arrival i finds at most
+    ``times`` and ``holds`` are contiguous float64 arrays. While every
+    earlier arrival is admitted, arrival i finds at most
     busy_i = #{j < i : times[j] + holds[j] >= times[i]} ports busy (a session
     ending exactly at times[i] has in fact left, so a tie can end this
     prefix early but never late). Every arrival before the first
     busy_i >= ports is therefore admitted. busy_i is counted over a window
     of leading arrivals that doubles until it holds that arrival, so the
     cost is bounded by the prefix, not by the stream. ``_pooled_admission``
-    takes over from there, with the prefix's sessions still in progress as
-    its departure heap.
+    takes over from there, over memoryviews of the rest of the arrays (no
+    copy), with the prefix's sessions still in progress as its heap.
     """
     n = len(times)
     window = 2 * ports + 1
@@ -111,66 +112,58 @@ def _admission(
         if len(full) or w == n:
             break
         window *= 2
-    start = int(full[0]) if len(full) else n
-    ends = times[:start] + holds[:start]
-    resume = times[start] if start < n else horizon
     admitted = np.ones(n, dtype=bool)
-    admitted[start:] = np.frombuffer(
-        _pooled_admission(
-            times[start:].tolist(),
-            holds[start:].tolist(),
-            ports,
-            horizon,
-            np.sort(ends[ends > resume]).tolist(),
-        ),
-        dtype=bool,
-    )
+    if len(full):
+        start = int(full[0])
+        ends = times[:start] + holds[:start]
+        admitted[start:] = np.frombuffer(
+            _pooled_admission(
+                memoryview(times[start:]),
+                memoryview(holds[start:]),
+                ports,
+                np.sort(ends[ends > times[start]]).tolist(),
+            ),
+            dtype=bool,
+        )
     return admitted
 
 
 def _pooled_admission(
-    times: list[float],
-    holds: list[float],
+    times: Sequence[float],
+    holds: Sequence[float],
     ports: int,
-    horizon: float,
     departures: list[float],
 ) -> bytearray:
     """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
 
-    ``departures`` is a heap of the end times of earlier sessions, each
-    holding a port until it ends; the loop consumes it. Arrival i is
-    admitted, and holds a port for ``holds[i]``, when a port is free once
-    every departure at or before ``times[i]`` has left. While all ports are
-    busy, every arrival before the next departure is blocked, so that run is
-    skipped in one bisection. Departures are then drained up to ``horizon``
-    for the final occupancy check.
+    ``departures`` is a heap of the end times of at most ``ports`` earlier
+    sessions, each holding a port until it ends; the loop consumes it.
+    Arrival i is admitted, and holds a port for ``holds[i]``, when a port is
+    free at ``times[i]``: surely while the heap holds fewer than ``ports``
+    sessions, and after that exactly when the earliest end is at or before
+    ``times[i]``, whose port it then takes over. Otherwise every arrival
+    before that end is blocked, so that run is skipped in one bisection.
+    Only the arrivals the loop reads are turned into floats.
     """
+    if len(departures) > ports:
+        raise InternalConsistencyError(
+            f"{len(departures)} sessions in progress on {ports} ports"
+        )
     n = len(times)
     admitted = bytearray(n)
-    busy = len(departures)
     i = 0
-    while i < n:
+    while i < n and len(departures) < ports:
+        heappush(departures, times[i] + holds[i])
+        admitted[i] = 1
+        i += 1
+    while i < n and departures:  # an empty heap here means no ports at all
         t = times[i]
-        while departures and departures[0] <= t:
-            heappop(departures)
-            busy -= 1
-        if busy < ports:
-            heappush(departures, t + holds[i])
-            busy += 1
+        if departures[0] <= t:
+            heapreplace(departures, t + holds[i])
             admitted[i] = 1
             i += 1
-        elif departures:
+        else:
             i = bisect_left(times, departures[0], i + 1)
-        else:  # no ports at all
-            break
-
-    while departures and departures[0] <= horizon:
-        heappop(departures)
-        busy -= 1
-    if busy != len(departures):
-        raise InternalConsistencyError(
-            "final occupancy inconsistent with outstanding departures"
-        )
     return admitted
 
 
@@ -210,16 +203,20 @@ def run(
 
     if stream is None:
         stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
-    times, holds, classes = stream.time, stream.hold, stream.class_id
+    # float64 in native order, contiguous: the numpy prefix sums ends in the
+    # same precision as the loop, and the loop's memoryviews can index them
+    times = np.ascontiguousarray(stream.time, np.float64)
+    holds = np.ascontiguousarray(stream.hold, np.float64)
+    classes = stream.class_id
+    counted = times >= warmup
     passed = np.ones(len(stream), dtype=bool)
     if strategy.mode == POLICY:
         gate_rng = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed]))
         passed = gate_rng.random(len(stream)) < np.array(strategy.gates)[classes]
         times, holds = times[passed], holds[passed]
     admitted = np.zeros(len(stream), dtype=bool)
-    admitted[passed] = _admission(times, holds, sum(capacities), horizon)
+    admitted[passed] = _admission(times, holds, sum(capacities))
 
-    counted = stream.time >= warmup
     num_classes = len(workload.clusters)
 
     def per_class(mask: np.ndarray) -> list[int]:

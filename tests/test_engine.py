@@ -1,6 +1,7 @@
 """Tests for strategies and full simulation runs, and for the per-partition
 reference engine that ``run`` is checked against."""
 
+import heapq
 import math
 import random
 from dataclasses import replace
@@ -31,7 +32,12 @@ from vodsim.engine import (
 )
 from vodsim.errors import ConfigurationError, InternalConsistencyError
 from vodsim.metrics import blocking_probability
-from vodsim.traffic import ClusterSpec, WorkloadSpec, merged_arrival_stream
+from vodsim.traffic import (
+    ArrivalStream,
+    ClusterSpec,
+    WorkloadSpec,
+    merged_arrival_stream,
+)
 
 
 def make_workload(rate, mean_hold, *, num_clusters=1, interactive=0.0, seed=0):
@@ -311,12 +317,27 @@ class TestRun:
         assert blocking_probability(m_with) > blocking_probability(m_without)
 
 
-def admission_flags(times, holds, ports, horizon=30.0):
+def admission_flags(times, holds, ports):
     """Admitted flags of ``_admission``, checked against the loop alone."""
-    flags = _admission(np.array(times, float), np.array(holds, float), ports, horizon)
-    loop = _pooled_admission(times, holds, ports, horizon, [])
+    flags = _admission(np.array(times, float), np.array(holds, float), ports)
+    loop = _pooled_admission(times, holds, ports, [])
     assert flags.tolist() == [bool(f) for f in loop]
     return flags.tolist()
+
+
+def direct_count(times, holds, ports, ends=()):
+    """Admitted flags from a count of the sessions in progress at each arrival.
+
+    A session ending at t has left by an arrival at t.
+    """
+    ends = list(ends)
+    flags = []
+    for t, h in zip(times, holds):
+        free = sum(1 for e in ends if e > t) < ports
+        flags.append(free)
+        if free:
+            ends.append(t + h)
+    return flags
 
 
 class TestPooledAdmission:
@@ -325,14 +346,20 @@ class TestPooledAdmission:
         holds = [3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
         # port busy over [0, 3): arrivals at 1, 1, 2 are blocked; the one at
         # 3 takes it, the second at 3 is blocked, the one at 4 takes it again
-        assert admission_flags(times, holds, 1, 10.0) == [1, 0, 0, 0, 1, 0, 1]
+        assert admission_flags(times, holds, 1) == [1, 0, 0, 0, 1, 0, 1]
 
     def test_zero_ports_block_everything(self):
-        assert admission_flags([0.0, 1.0], [1.0, 1.0], 0, 10.0) == [0, 0]
+        assert admission_flags([0.0, 1.0], [1.0, 1.0], 0) == [0, 0]
 
     def test_initial_departures_hold_ports(self):
-        assert list(_pooled_admission([5.0], [1.0], 1, 10.0, [6.0])) == [0]
-        assert list(_pooled_admission([5.0], [1.0], 1, 10.0, [5.0])) == [1]
+        assert list(_pooled_admission([5.0], [1.0], 1, [6.0])) == [0]
+        assert list(_pooled_admission([5.0], [1.0], 1, [5.0])) == [1]
+
+    @pytest.mark.parametrize("ports", [0, 2])
+    def test_more_sessions_than_ports_is_an_internal_error(self, ports):
+        departures = [6.0 + k for k in range(ports + 1)]
+        with pytest.raises(InternalConsistencyError, match="sessions in progress"):
+            _pooled_admission([5.0], [1.0], ports, departures)
 
     def test_zero_hold_tie_with_the_first_full_arrival(self):
         # the zero hold at 1 ends when it arrives, at the time of the first
@@ -355,13 +382,28 @@ class TestPooledAdmission:
         arrivals.sort(key=lambda a: a[0])
         times = [float(t) for t, _ in arrivals]
         holds = [float(h) for _, h in arrivals]
-        flags = admission_flags(times, holds, ports)
-        ends = []
-        for i, (t, h) in enumerate(zip(times, holds)):
-            free = sum(1 for e in ends if e > t) < ports
-            assert flags[i] == free
-            if free:
-                ends.append(t + h)
+        assert admission_flags(times, holds, ports) == direct_count(times, holds, ports)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)), max_size=40),
+        st.lists(st.integers(0, 25), max_size=8),
+        st.data(),
+    )
+    def test_start_heap_matches_a_direct_count(self, arrivals, ends, data):
+        # sessions in progress at the start, at most one per port, end
+        # before, at and after the first arrival, ties included; the loop
+        # reads lists and, as in production, memoryviews of float64 arrays
+        ports = data.draw(st.integers(len(ends), len(ends) + len(arrivals)))
+        arrivals.sort(key=lambda a: a[0])
+        times = [float(t) for t, _ in arrivals]
+        holds = [float(h) for _, h in arrivals]
+        expected = direct_count(times, holds, ports, ends)
+        for seq in (list, lambda x: memoryview(np.array(x, np.float64))):
+            departures = [float(e) for e in ends]
+            heapq.heapify(departures)
+            flags = _pooled_admission(seq(times), seq(holds), ports, departures)
+            assert [bool(f) for f in flags] == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
@@ -375,6 +417,33 @@ def test_policed_share_is_binomial(seed):
         assert c.offered > 4_000
         sd = math.sqrt(c.offered * gate * (1 - gate))
         assert abs(c.policed - c.offered * (1 - gate)) <= 4.5 * sd
+
+
+def strided(a):
+    """A view of a copy of ``a`` that skips every other element."""
+    spaced = np.zeros(2 * len(a), a.dtype)
+    spaced[::2] = a
+    return spaced[::2]
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [strided, lambda a: a.astype(np.float32), lambda a: a.astype(">f8")],
+    ids=["strided", "float32", "big_endian"],
+)
+def test_caller_stream_layout_changes_no_count(layout):
+    # about 92% of arrivals blocked, so most of them reach the loop
+    w = make_workload(6.0, 1.0, num_clusters=2)
+    s = merged_arrival_stream(replace(w, seed=11), 300.0)
+    odd = ArrivalStream(layout(s.time), layout(s.hold), strided(s.class_id))
+    native = ArrivalStream(
+        np.array(odd.time, np.float64), np.array(odd.hold, np.float64), s.class_id
+    )
+    policy = StrategySpec("policy", PolicyWeights((0.7, 0.3)))
+    for strategy in (UNCONTROLLED_STRATEGY, policy):
+        m = run(w, [1], strategy, 300.0, 30.0, 11, stream=native)
+        assert m.blocked > 0
+        assert run(w, [1], strategy, 300.0, 30.0, 11, stream=odd) == m
 
 
 @st.composite

@@ -1,15 +1,20 @@
 """Tests for workload construction and Poisson stream generation."""
 
+import hashlib
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference_engine import SessionRequest
 from vodsim.traffic import (
+    _ARRIVAL_TAG,
     ClusterSpec,
     WorkloadSpec,
     build_workload,
@@ -341,3 +346,104 @@ def test_interarrival_sums_match_packages_own_density():
     cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
     result = scipy.stats.kstest(sums, lambda x: np.interp(x, grid, cdf))
     assert result.pvalue > 0.01
+
+
+def rate_workload(rates, seed, interactive=0.0):
+    """One cluster per rate, bandwidth 1, every holding mean 1.5."""
+    clusters = tuple(
+        ClusterSpec(c, r, r, 1.5, interactive) for c, r in enumerate(rates)
+    )
+    return WorkloadSpec(clusters, 1.0, 1.0, 2.0, seed)
+
+
+def reference_point(multiplier, seed):
+    base = build_workload(30, 1.0, 15.5, 100.0, 1.0, 200.0, seed=42)
+    return replace(scale_workload(base, multiplier), seed=seed)
+
+
+# (workload, horizon) -> SHA-256 of the little-endian bytes of time, hold and
+# class_id, in that order. Any change to how a stream is drawn changes these.
+STREAM_DIGESTS = {
+    "reference_x1": (
+        lambda: (reference_point(1.0, 7), 500.0),
+        "2d261accccecf1d2bc6fb690e99d8b0f50f30e6a2393db690c1247a171a4a391",
+    ),
+    "reference_x15.5": (
+        lambda: (reference_point(15.5, 7), 500.0),
+        "c3819821eef5182ec2f526401c7391e2deaf2e2839bdd0f8cd0a2de60b0628a4",
+    ),
+    "zero_rates_first": (
+        lambda: (rate_workload((0.0, 0.0, 3.0, 5.0, 1.0), 3), 200.0),
+        "9caa1b86f92c8487c10114c03a4f5286e0694dcb04f32c955830930b883568c9",
+    ),
+    "zero_rates_middle": (
+        lambda: (rate_workload((3.0, 0.0, 0.0, 5.0, 1.0), 3), 200.0),
+        "5defe8b1ef8d4dbd2fed9e2c98088c3e550c59c653fb627de364a1a646eccdac",
+    ),
+    "zero_rates_last": (
+        lambda: (rate_workload((3.0, 5.0, 1.0, 0.0, 0.0), 3), 200.0),
+        "8b0d9a58062e6754206317d8d0cfd92d0091058f22293b2bff2ce754b4d143f6",
+    ),
+    "classes_3000": (
+        lambda: (build_workload(3_000, 0.0, 30.0, 1.0, 1.0, 5.0, seed=5), 1.0),
+        "917519e7fd2dfcc28d1ed8ed8dc26c52f172835c9bbb451f4b5769f388d1c4dd",
+    ),
+    "tiny_rate_first": (
+        lambda: (rate_workload((1e-300, 1e3), 9), 20.0),
+        "93e398d65bb8f12c755c699842504de7c10905d70ed013a81cd69cf722fa75c7",
+    ),
+    "tiny_rate_last": (
+        lambda: (rate_workload((1e3, 1e-300), 9), 20.0),
+        "ab2b852f0dbc7cbc1dd61f1fd6e35aad117f46ac10401ccc14aab8cf1c3551b1",
+    ),
+    "interactive_only": (
+        lambda: (rate_workload((0.0, 0.0, 0.0), 4, interactive=2.0), 300.0),
+        "d40abdaad582fd2a4798b8eaa52ed5a721d8a257add3ecdb115d6c6a890798ea",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_DIGESTS))
+def test_stream_golden_digest(case):
+    build, digest = STREAM_DIGESTS[case]
+    stream = merged_arrival_stream(*build())
+    assert len(stream) > 0
+    h = hashlib.sha256()
+    for a, dtype in ((stream.time, "<f8"), (stream.hold, "<f8"), (stream.class_id, "<i8")):
+        h.update(np.ascontiguousarray(a, dtype).tobytes())
+    assert h.hexdigest() == digest
+
+
+def replayed_marks(spec, horizon):
+    """The class marks, drawn again from the stream's generator by bisection."""
+    rates = np.array([c.request_rate + c.interactive_rate for c in spec.clusters])
+    live = np.flatnonzero(rates > 0)
+    bounds = np.cumsum(rates[live])
+    total = float(bounds[-1]) if len(live) else 0.0
+    rng = np.random.default_rng(np.random.SeedSequence([_ARRIVAL_TAG, spec.seed]))
+    n = int(rng.poisson(total * horizon))
+    rng.standard_exponential(n + 1)
+    return live[np.searchsorted(bounds[:-1], rng.random(n) * total, "right")]
+
+
+# zeros, rates whose bound rounds onto the one before (1e-17 beside 1.0),
+# and rates whose total is subnormal (below 2.2e-308)
+MARK_RATES = [0.0, 1.0, 2.5, 7.0, 1e-17, 1e-300, 1e-308, 1.5e-308, 5e-324]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(MARK_RATES), min_size=1, max_size=12),
+    st.integers(0, 3_000),
+    st.integers(0, 2**64 - 1),
+)
+@example([1e-308, 0.0, 1e-308], 3_000, 0)
+@example([1.0, 1e-17, 1e-17, 0.0, 2.5], 3_000, 1)
+@example([0.0] * 5 + [7.0, 1e-17] * 20, 3_000, 2)
+def test_marks_equal_a_bisection_of_the_same_uniforms(rates, expected, seed):
+    spec = rate_workload(rates, seed)
+    total = sum(rates)
+    # a horizon giving about ``expected`` arrivals, capped for subnormal totals
+    horizon = min(expected / total, 1e308) if total > 0 and expected else 1.0
+    stream = merged_arrival_stream(spec, horizon)
+    assert stream.class_id.tolist() == replayed_marks(spec, horizon).tolist()

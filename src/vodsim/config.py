@@ -41,8 +41,9 @@ SWEEP_CHOICES = (SWEEP_GLOBAL, SWEEP_PER_CLUSTER)
 # of the reproducibility contract, so treat it as frozen.
 POINT_SEED_STRIDE = 10007
 
-# Larger configs fail fast: a run peaks at about 40 bytes per arrival
-# (tracemalloc, one uncontrolled run of 192,000 arrivals at multiplier 15.5),
+# Larger configs fail fast: a run peaks at about 33 bytes per arrival
+# (tracemalloc, one uncontrolled run of 192,000 arrivals at multiplier 15.5;
+# 41 in policy mode, whose gate draws add two arrays of doubles),
 # and the heaviest run of the reference scenario expects about 19,000. The
 # workload builds one spec per cluster (MAX_COUNT caps clusters and
 # partitions alike), and compare-analytic's Erlang-B loops once per port.

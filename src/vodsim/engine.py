@@ -15,13 +15,17 @@ only when a new one takes its port. While the heap holds fewer than N
 sessions a port is surely free. Once it holds N, a port is free at time t
 exactly when the earliest end is at or before t (a port freed "now" is
 available to an arrival "now"), and every arrival before that end is
-blocked, so the loop skips that run in one bisection. Until the first
-arrival that finds all N ports busy, no arrival is blocked, so that prefix
-is admitted in numpy and the loop starts after it.
+blocked. So the next admitted arrival is the first at or after the earliest
+end, found by one bisection, and the loop takes one step per admitted
+arrival, not per arrival. Until the first arrival that finds all N ports
+busy, no arrival is blocked, so that prefix is admitted in numpy and the
+loop starts after it. The counts of a run come from one ``bincount`` of
+(class, outcome) pairs over the arrivals after the warmup.
 
 The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
 runs several strategies at one seed builds it once and passes it to each
-run, so every strategy sees the same arrivals. Policy gate uniforms, one
+run, so every strategy sees the same arrivals. A stream passed in is
+checked: equal lengths, class ids of the workload, ascending times. Policy gate uniforms, one
 per arrival in arrival order, come in one call from the run's own
 generator, seeded from the run seed under the gate tag.
 
@@ -86,6 +90,11 @@ class StrategySpec:
 
 UNCONTROLLED_STRATEGY = StrategySpec(UNCONTROLLED)
 
+# A blocked run shorter than this is skipped by a bisection of this many
+# arrivals rather than of the rest of the stream. At the saturated reference
+# point (93% blocked) runs average about 13 arrivals and about 1% are longer.
+_WINDOW = 64
+
 
 def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
     """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
@@ -141,8 +150,11 @@ def _pooled_admission(
     Arrival i is admitted, and holds a port for ``holds[i]``, when a port is
     free at ``times[i]``: surely while the heap holds fewer than ``ports``
     sessions, and after that exactly when the earliest end is at or before
-    ``times[i]``, whose port it then takes over. Otherwise every arrival
-    before that end is blocked, so that run is skipped in one bisection.
+    ``times[i]``, whose port it then takes over. Every arrival before that
+    end is blocked, so once the heap is full the loop takes one step per
+    admitted arrival: it admits arrival i, and when the next arrival comes
+    before the new earliest end, bisects for the first arrival at or after
+    it, within the next ``_WINDOW`` arrivals when that end lies among them.
     Only the arrivals the loop reads are turned into floats.
     """
     if len(departures) > ports:
@@ -156,15 +168,40 @@ def _pooled_admission(
         heappush(departures, times[i] + holds[i])
         admitted[i] = 1
         i += 1
-    while i < n and departures:  # an empty heap here means no ports at all
-        t = times[i]
-        if departures[0] <= t:
-            heapreplace(departures, t + holds[i])
-            admitted[i] = 1
-            i += 1
-        else:
-            i = bisect_left(times, departures[0], i + 1)
+    if not departures:  # no ports at all
+        return admitted
+    window = _WINDOW
+    last = n - window  # the window after arrival i lies in the stream iff i < last
+    i = bisect_left(times, departures[0], i)
+    while i < n:
+        heapreplace(departures, times[i] + holds[i])
+        admitted[i] = 1
+        end = departures[0]
+        i += 1
+        if i < n and times[i] < end:
+            if i < last and times[i + window] >= end:
+                i = bisect_left(times, end, i + 1, i + window)
+            else:
+                i = bisect_left(times, end, i + 1)
     return admitted
+
+
+def _check_stream(stream: ArrivalStream, num_classes: int) -> None:
+    """Reject a caller-built stream that ``run`` cannot count or admit."""
+    time, hold, class_id = stream.time, stream.hold, stream.class_id
+    if not len(time) == len(hold) == len(class_id):
+        raise ConfigurationError(
+            f"stream arrays differ in length: {len(time)} times, "
+            f"{len(hold)} holds, {len(class_id)} class ids"
+        )
+    if len(class_id) and not 0 <= class_id.min() <= class_id.max() < num_classes:
+        raise ConfigurationError(
+            f"stream class ids must lie in [0, {num_classes}), "
+            f"got {class_id.min()} to {class_id.max()}"
+        )
+    # ">=" is also false for a nan
+    if not np.all(time[1:] >= time[:-1]):
+        raise ConfigurationError("stream times must be in ascending order")
 
 
 def run(
@@ -185,8 +222,11 @@ def run(
     uniforms, one per arrival in arrival order, are drawn from
     ``default_rng(SeedSequence([_GATE_TAG, seed]))``, a generator apart
     from the stream's, so uncontrolled and policy runs at the same seed see
-    the same arrivals. Counters only include requests arriving at or after
-    warmup; earlier requests still evolve the state.
+    the same arrivals. A passed ``stream`` whose arrays differ in length,
+    whose class ids leave [0, number of clusters) or whose times are not
+    ascending raises :class:`ConfigurationError`. Counters only include
+    requests arriving at or after warmup; earlier requests still evolve the
+    state.
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
@@ -201,31 +241,33 @@ def run(
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
             raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
 
+    num_classes = len(workload.clusters)
     if stream is None:
         stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
+    else:
+        _check_stream(stream, num_classes)
     # float64 in native order, contiguous: the numpy prefix sums ends in the
     # same precision as the loop, and the loop's memoryviews can index them
     times = np.ascontiguousarray(stream.time, np.float64)
     holds = np.ascontiguousarray(stream.hold, np.float64)
     classes = stream.class_id
-    counted = times >= warmup
-    passed = np.ones(len(stream), dtype=bool)
+    # outcome per arrival, one byte each: 0 admitted, 1 policed, 2 blocked
     if strategy.mode == POLICY:
         gate_rng = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed]))
         passed = gate_rng.random(len(stream)) < np.array(strategy.gates)[classes]
-        times, holds = times[passed], holds[passed]
-    admitted = np.zeros(len(stream), dtype=bool)
-    admitted[passed] = _admission(times, holds, sum(capacities))
-
-    num_classes = len(workload.clusters)
-
-    def per_class(mask: np.ndarray) -> list[int]:
-        return np.bincount(classes[counted & mask], minlength=num_classes).tolist()
-
-    offered = per_class(counted)
-    admits = per_class(admitted)
-    policed = per_class(~passed)
-    blocked = per_class(passed & ~admitted)
+        outcome = np.ones(len(stream), np.int8)
+        admitted = _admission(times[passed], holds[passed], sum(capacities))
+        outcome[passed] = np.where(admitted, np.int8(0), np.int8(2))
+    else:
+        admitted = _admission(times, holds, sum(capacities))
+        outcome = np.where(admitted, np.int8(0), np.int8(2))
+    # times are sorted, so the counted arrivals (at or after warmup) are a suffix
+    first = int(np.searchsorted(times, warmup))
+    counts = np.bincount(
+        classes[first:] * 3 + outcome[first:], minlength=3 * num_classes
+    ).reshape(num_classes, 3)
+    offered = counts.sum(axis=1).tolist()
+    admits, policed, blocked = counts.T.tolist()
     return RunMetrics(
         offered=sum(offered),
         admitted=sum(admits),

@@ -6,9 +6,12 @@ consumes. Arrivals are Poisson per cluster and holding times exponential
 with a per-cluster mean. The merged stream, the superposition of all
 clusters, is drawn whole from one generator per run: a Poisson count,
 sorted times from normalised exponential spacings, and a class mark per
-arrival. It is returned as an :class:`ArrivalStream` of parallel numpy
+arrival. The marks are looked up in a guide table of equal cells of the
+uniform, exact because the cell count is a power of two; only the few
+arrivals whose mark reaches a class bound inside its cell are bisected
+again. It is returned as an :class:`ArrivalStream` of parallel numpy
 arrays (arrival time, holding time, class id) rather than one object per
-request.
+request, written in place in the buffers the generator filled.
 
 All randomness flows from explicit seeds. Generator state is single-owner:
 one stream is advanced by one caller at a time; distinct seeds may run
@@ -187,6 +190,33 @@ def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
     return replace(spec, clusters=clusters)
 
 
+def _class_marks(u: np.ndarray, bounds: np.ndarray, total: float) -> np.ndarray:
+    """``searchsorted(bounds[:-1], u * total, "right")``, bit for bit.
+
+    ``bounds`` are the cumulative rates of the live classes and ``total``
+    their sum; searching only the inner bounds maps every mark, even one
+    that rounds up to the total, onto a live class. ``u`` is overwritten
+    with the marks ``u * total``.
+
+    A guide table of M cells, M a power of two about 8 per live class (at
+    most 2**16 and at most the arrival count), holds for cell k the number
+    of inner bounds at or below its edge fl((k / M) * total). u * M and
+    k / M are exact, and rounding is monotone, so an arrival with
+    floor(u * M) = k has a mark fl(u * total) at or above its cell's edge:
+    the guide entry counts only bounds at or below the mark, and is the
+    answer unless the next bound is at or below the mark too. Only those
+    arrivals, about one in sixteen, are bisected again.
+    """
+    inner = np.append(bounds[:-1], np.inf)
+    cells = 1 << min(16, (8 * len(inner) - 1).bit_length(), max(len(u), 1).bit_length() - 1)
+    guide = np.searchsorted(inner, np.arange(cells) / cells * total, "right")
+    index = guide[(u * cells).astype(np.intp)]
+    u *= total
+    recheck = np.flatnonzero(inner[index] <= u)
+    index[recheck] = np.searchsorted(inner, u[recheck], "right")
+    return index
+
+
 def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
     """The merged arrivals of all clusters on [0, horizon), sorted by time.
 
@@ -200,7 +230,10 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
       1953), scaled by the horizon;
     - each arrival is marked with class c with probability
       lambda_c / Lambda, which gives independent Poisson streams per class
-      (the colouring theorem);
+      (the colouring theorem): a uniform u times Lambda is bisected into
+      the cumulative class rates. A guide table gives the bisection's
+      answer for almost every arrival in one lookup, bit for bit; see
+      ``_class_marks`` for why it is exact;
     - its hold is exponential with its class's mean.
 
     A class with rate 0 is never marked. A denormal rate needs no guard: it
@@ -219,11 +252,15 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
     # horizon. But sums[n - 1] rounds to sums[n] when the last spacing is
     # below half an ulp of the sum (x = 1), and a subnormal horizon can round
     # horizon * x up to itself: the clip to the largest double below the
-    # horizon keeps every time in [0, horizon).
-    times = np.minimum(sums[:n] / sums[n] * horizon, np.nextafter(horizon, 0.0))
-    # searching only the inner bounds of the live classes maps every mark,
-    # even one that rounds up to the total, onto a class with a positive rate
-    classes = live[np.searchsorted(bounds[:-1], rng.random(n) * total, "right")]
-    means = np.array([c.mean_holding for c in spec.clusters])
-    holds = rng.standard_exponential(n) * means[classes]
+    # horizon keeps every time in [0, horizon). The arithmetic runs in place
+    # in the buffer of the sums, with the same operations in the same order.
+    times = sums[:n]
+    times /= sums[n]
+    times *= horizon
+    np.minimum(times, np.nextafter(horizon, 0.0), out=times)
+    classes = _class_marks(rng.random(n), bounds, total)
+    if len(live) < len(rates):  # otherwise a live index is the class id
+        classes = live[classes]
+    holds = rng.standard_exponential(n)
+    holds *= np.array([c.mean_holding for c in spec.clusters])[classes]
     return ArrivalStream(times, holds, classes)

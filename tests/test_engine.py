@@ -406,6 +406,42 @@ class TestPooledAdmission:
             assert [bool(f) for f in flags] == expected
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 300).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.integers(0, 300), st.integers(0, 200)), min_size=n, max_size=n
+            )
+        ),
+        st.integers(1, 3),
+    )
+    def test_long_blocked_runs_match_a_direct_count(self, arrivals, ports):
+        # up to one arrival per time unit and holds up to 200 units on 1-3
+        # ports: blocked runs both shorter and longer than the bisection
+        # window (a third of the examples have one longer), and runs that
+        # reach the end of the stream. The length is drawn first, so that
+        # long streams are as likely as short ones.
+        arrivals.sort(key=lambda a: a[0])
+        times = [float(t) for t, _ in arrivals]
+        holds = [float(h) for _, h in arrivals]
+        assert admission_flags(times, holds, ports) == direct_count(times, holds, ports)
+
+    @pytest.mark.parametrize("tail", [0, 1, 70])
+    @pytest.mark.parametrize("blocked", [1, 63, 64, 65, 66, 130])
+    def test_blocked_run_at_the_window_edge(self, blocked, tail):
+        # one port, taken at 0 until 100, then ``blocked`` arrivals before
+        # 100, an arrival at exactly 100 that takes the port until 250,
+        # another such run, and ``tail`` arrivals one apart after 250
+        run = [1.0 + 98.0 * k / blocked for k in range(blocked)]
+        times = [0.0] + run + [100.0] + [r + 100.0 for r in run] + [250.0]
+        times += [251.0 + k for k in range(tail)]
+        holds = [100.0] + [1.0] * blocked + [150.0] + [1.0] * blocked + [0.5]
+        holds += [0.5] * tail
+        expected = [1] + [0] * blocked + [1] + [0] * blocked + [1] + [1] * tail
+        assert direct_count(times, holds, 1) == expected
+        assert admission_flags(times, holds, 1) == expected
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_policed_share_is_binomial(seed):
     # four classes gated at 0.1 to 0.4 (literal weights), about 5,000
@@ -444,6 +480,27 @@ def test_caller_stream_layout_changes_no_count(layout):
         m = run(w, [1], strategy, 300.0, 30.0, 11, stream=native)
         assert m.blocked > 0
         assert run(w, [1], strategy, 300.0, 30.0, 11, stream=odd) == m
+
+
+@pytest.mark.parametrize(
+    "time, class_id, match",
+    [
+        ([1.0, 2.0], [0, 3], r"class ids must lie in \[0, 1\), got 0 to 3"),
+        ([1.0, 2.0], [0, -1], r"class ids must lie in \[0, 1\), got -1 to 0"),
+        ([2.0, 1.0], [0, 0], "ascending"),
+        ([1.0, float("nan")], [0, 0], "ascending"),
+        ([1.0, 2.0], [0], "differ in length"),
+    ],
+)
+def test_caller_stream_is_checked(time, class_id, match):
+    # the bad arrival lies before the warmup, where it would count nothing
+    w = make_workload(1.0, 1.0)
+    stream = ArrivalStream(
+        np.array(time), np.ones(len(time)), np.array(class_id, np.intp)
+    )
+    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", PolicyWeights((1.0,)))):
+        with pytest.raises(ConfigurationError, match=match):
+            run(w, [1], strategy, 10.0, 5.0, 0, stream=stream)
 
 
 @st.composite

@@ -16,6 +16,7 @@ from reference_engine import SessionRequest
 from vodsim.traffic import (
     _ARRIVAL_TAG,
     ClusterSpec,
+    _class_marks,
     WorkloadSpec,
     build_workload,
     merged_arrival_stream,
@@ -447,3 +448,23 @@ def test_marks_equal_a_bisection_of_the_same_uniforms(rates, expected, seed):
     horizon = min(expected / total, 1e308) if total > 0 and expected else 1.0
     stream = merged_arrival_stream(spec, horizon)
     assert stream.class_id.tolist() == replayed_marks(spec, horizon).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(MARK_RATES), min_size=1, max_size=12),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=300),
+)
+# 1/3 * 3 rounds to the bound 1.0 inside a cell of the guide: the tie must
+# be bisected, and bisected to the right
+@example([1.0, 2.0], [1 / 3] * 64)
+@example([1.0, 0.0, 1.0, 1.0, 1.0], [k / 64 for k in range(64)] + [0.5, 0.75])
+def test_guide_table_equals_a_bisection_of_any_uniforms(rates, u):
+    live = np.flatnonzero(np.array(rates) > 0)
+    bounds = np.cumsum(np.array(rates)[live])
+    total = float(bounds[-1]) if len(live) else 0.0
+    u = np.array(u, np.float64)
+    expected = np.searchsorted(bounds[:-1], u * total, "right")
+    marks = u.copy()
+    assert _class_marks(marks, bounds, total).tolist() == expected.tolist()
+    assert marks.tolist() == (u * total).tolist()

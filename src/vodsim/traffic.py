@@ -258,9 +258,7 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
     times /= sums[n]
     times *= horizon
     np.minimum(times, np.nextafter(horizon, 0.0), out=times)
-    classes = _class_marks(rng.random(n), bounds, total)
-    if len(live) < len(rates):  # otherwise a live index is the class id
-        classes = live[classes]
+    classes = live[_class_marks(rng.random(n), bounds, total)]
     holds = rng.standard_exponential(n)
     holds *= np.array([c.mean_holding for c in spec.clusters])[classes]
     return ArrivalStream(times, holds, classes)

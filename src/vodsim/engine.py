@@ -25,9 +25,10 @@ loop starts after it. The counts of a run come from one ``bincount`` of
 The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
 runs several strategies at one seed builds it once and passes it to each
 run, so every strategy sees the same arrivals. A stream passed in is
-checked: equal lengths, class ids of the workload, ascending times. Policy gate uniforms, one
-per arrival in arrival order, come in one call from the run's own
-generator, seeded from the run seed under the gate tag.
+checked first: arrays of one length, integer class ids of the workload,
+ascending times and holds >= 0. Policy gate uniforms, one per arrival in arrival order,
+come in one call from the run's own generator, seeded from the run seed
+under the gate tag.
 
 A run is strictly single-threaded and a pure function of its arguments;
 independent runs share no state and may execute concurrently.
@@ -170,7 +171,7 @@ def _pooled_admission(
         i += 1
     if not departures:  # no ports at all
         return admitted
-    window = _WINDOW
+    window = _WINDOW  # a local, as the loop reads it on every blocked run
     last = n - window  # the window after arrival i lies in the stream iff i < last
     i = bisect_left(times, departures[0], i)
     while i < n:
@@ -194,6 +195,8 @@ def _check_stream(stream: ArrivalStream, num_classes: int) -> None:
             f"stream arrays differ in length: {len(time)} times, "
             f"{len(hold)} holds, {len(class_id)} class ids"
         )
+    if class_id.dtype.kind not in "iu":
+        raise ConfigurationError(f"stream class ids must be integers, got {class_id.dtype}")
     if len(class_id) and not 0 <= class_id.min() <= class_id.max() < num_classes:
         raise ConfigurationError(
             f"stream class ids must lie in [0, {num_classes}), "
@@ -202,6 +205,8 @@ def _check_stream(stream: ArrivalStream, num_classes: int) -> None:
     # ">=" is also false for a nan
     if not np.all(time[1:] >= time[:-1]):
         raise ConfigurationError("stream times must be in ascending order")
+    if not np.all(hold >= 0):
+        raise ConfigurationError("stream holds must be >= 0")
 
 
 def run(
@@ -223,8 +228,9 @@ def run(
     ``default_rng(SeedSequence([_GATE_TAG, seed]))``, a generator apart
     from the stream's, so uncontrolled and policy runs at the same seed see
     the same arrivals. A passed ``stream`` whose arrays differ in length,
-    whose class ids leave [0, number of clusters) or whose times are not
-    ascending raises :class:`ConfigurationError`. Counters only include
+    whose class ids are not integers in [0, number of clusters), whose
+    times are not ascending or whose holds are not >= 0 raises
+    :class:`ConfigurationError`. Counters only include
     requests arriving at or after warmup; earlier requests still evolve the
     state.
     """
@@ -250,7 +256,8 @@ def run(
     # same precision as the loop, and the loop's memoryviews can index them
     times = np.ascontiguousarray(stream.time, np.float64)
     holds = np.ascontiguousarray(stream.hold, np.float64)
-    classes = stream.class_id
+    # wide enough for the (class, outcome) keys below
+    classes = stream.class_id.astype(np.intp, copy=False)
     # outcome per arrival, one byte each: 0 admitted, 1 policed, 2 blocked
     if strategy.mode == POLICY:
         gate_rng = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed]))

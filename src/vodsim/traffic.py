@@ -205,7 +205,7 @@ def _class_marks(u: np.ndarray, bounds: np.ndarray, total: float) -> np.ndarray:
     floor(u * M) = k has a mark fl(u * total) at or above its cell's edge:
     the guide entry counts only bounds at or below the mark, and is the
     answer unless the next bound is at or below the mark too. Only those
-    arrivals, about one in sixteen, are bisected again.
+    arrivals, about one in twenty at the reference load, are bisected again.
     """
     inner = np.append(bounds[:-1], np.inf)
     cells = 1 << min(16, (8 * len(inner) - 1).bit_length(), max(len(u), 1).bit_length() - 1)

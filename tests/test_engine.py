@@ -405,7 +405,6 @@ class TestPooledAdmission:
             flags = _pooled_admission(seq(times), seq(holds), ports, departures)
             assert [bool(f) for f in flags] == expected
 
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 300).flatmap(
@@ -432,8 +431,8 @@ class TestPooledAdmission:
         # one port, taken at 0 until 100, then ``blocked`` arrivals before
         # 100, an arrival at exactly 100 that takes the port until 250,
         # another such run, and ``tail`` arrivals one apart after 250
-        run = [1.0 + 98.0 * k / blocked for k in range(blocked)]
-        times = [0.0] + run + [100.0] + [r + 100.0 for r in run] + [250.0]
+        gap = [1.0 + 98.0 * k / blocked for k in range(blocked)]
+        times = [0.0] + gap + [100.0] + [t + 100.0 for t in gap] + [250.0]
         times += [251.0 + k for k in range(tail)]
         holds = [100.0] + [1.0] * blocked + [150.0] + [1.0] * blocked + [0.5]
         holds += [0.5] * tail
@@ -483,24 +482,37 @@ def test_caller_stream_layout_changes_no_count(layout):
 
 
 @pytest.mark.parametrize(
-    "time, class_id, match",
+    "time, hold, class_id, match",
     [
-        ([1.0, 2.0], [0, 3], r"class ids must lie in \[0, 1\), got 0 to 3"),
-        ([1.0, 2.0], [0, -1], r"class ids must lie in \[0, 1\), got -1 to 0"),
-        ([2.0, 1.0], [0, 0], "ascending"),
-        ([1.0, float("nan")], [0, 0], "ascending"),
-        ([1.0, 2.0], [0], "differ in length"),
+        ([1.0, 2.0], [1.0, 1.0], [0, 3], r"class ids must lie in \[0, 1\), got 0 to 3"),
+        ([1.0, 2.0], [1.0, 1.0], [0, -1], r"class ids must lie in \[0, 1\), got -1 to 0"),
+        ([1.0, 2.0], [1.0, 1.0], [0.0, 0.0], "must be integers"),
+        ([2.0, 1.0], [1.0, 1.0], [0, 0], "ascending"),
+        ([1.0, float("nan")], [1.0, 1.0], [0, 0], "ascending"),
+        ([1.0, 2.0], [float("nan"), 1.0], [0, 0], "holds must be >= 0"),
+        ([1.0, 2.0], [-1.0, 1.0], [0, 0], "holds must be >= 0"),
+        ([1.0, 2.0], [1.0, 1.0], [0], "differ in length"),
     ],
 )
-def test_caller_stream_is_checked(time, class_id, match):
+def test_caller_stream_is_checked(time, hold, class_id, match):
     # the bad arrival lies before the warmup, where it would count nothing
     w = make_workload(1.0, 1.0)
-    stream = ArrivalStream(
-        np.array(time), np.ones(len(time)), np.array(class_id, np.intp)
-    )
+    stream = ArrivalStream(np.array(time), np.array(hold), np.array(class_id))
     for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", PolicyWeights((1.0,)))):
         with pytest.raises(ConfigurationError, match=match):
             run(w, [1], strategy, 10.0, 5.0, 0, stream=stream)
+
+
+def test_narrow_class_ids_count_like_intp():
+    # 60 classes: ids past 42 would overflow int8 in the (class, outcome) keys
+    w = make_workload(2.0, 1.0, num_clusters=60)
+    s = merged_arrival_stream(replace(w, seed=5), 200.0)
+    assert s.class_id.max() > 42
+    m = run(w, [20], UNCONTROLLED_STRATEGY, 200.0, 20.0, 5)
+    assert m.blocked > 0
+    for dtype in (np.int8, np.uint8, np.int32):
+        narrow = ArrivalStream(s.time, s.hold, s.class_id.astype(dtype))
+        assert run(w, [20], UNCONTROLLED_STRATEGY, 200.0, 20.0, 5, stream=narrow) == m
 
 
 @st.composite

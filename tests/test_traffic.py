@@ -16,8 +16,8 @@ from reference_engine import SessionRequest
 from vodsim.traffic import (
     _ARRIVAL_TAG,
     ClusterSpec,
-    _class_marks,
     WorkloadSpec,
+    _class_marks,
     build_workload,
     merged_arrival_stream,
     scale_workload,

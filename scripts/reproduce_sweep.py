@@ -6,6 +6,10 @@ Runs the reference 30-point sweep twice: once with the default strategies
 capacity-proportional, max-normalized policy variant. Writes one CSV per
 sweep; plot blocking against traffic_rate_mbps or offered_erlangs with any
 external tool.
+
+The variant's rows equal the uncontrolled rows of the first CSV in every
+column but strategy: both presets weight every class equally, and
+max-normalizing equal weights makes every gate 1.0, so nothing is policed.
 """
 
 import argparse

@@ -1,12 +1,11 @@
 """Blocking analysis for a partitioned video-on-demand server.
 
 Analytic Erlang-B style formulas, a seeded multirate Poisson workload
-generator, an event-driven loss-system simulator with pluggable admission
-strategies, and a sweep/report CLI.
+generator, an event-driven loss-system simulator with uncontrolled or
+per-class gated admission, and a sweep/report CLI.
 """
 
 from .analytic import (
-    PolicyWeights,
     chain_blocking,
     erlang_b,
     erlang_b_direct,

@@ -10,7 +10,6 @@ surface instead of hiding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InternalConsistencyError
@@ -21,32 +20,6 @@ if TYPE_CHECKING:
 # erlang_b_direct is only supported where every factorial in the sum fits a
 # double (170! is the largest); beyond that the recurrence must be used.
 _DIRECT_CAPACITY_LIMIT = 170
-
-
-@dataclass(frozen=True)
-class PolicyWeights:
-    """Per-class admission weights, one per request class, summing to 1."""
-
-    weights: tuple[float, ...]
-
-    #: absolute tolerance on the weight sum; config files carry decimal
-    #: fractions, so exact equality is not required
-    SUM_TOLERANCE = 1e-9
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.weights, tuple):
-            object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights:
-            raise ValueError("at least one weight is required")
-        for i, w in enumerate(self.weights):
-            if not math.isfinite(w) or not 0.0 <= w <= 1.0:
-                raise ValueError(f"weight[{i}] = {w} is outside [0, 1]")
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > self.SUM_TOLERANCE:
-            raise ValueError(f"weights must sum to 1 (got {total!r})")
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 def _check_load(erlangs: float) -> float:

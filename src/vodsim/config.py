@@ -15,15 +15,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .analytic import PolicyWeights
-from .engine import (
-    LITERAL,
-    POLICY,
-    SCALINGS,
-    UNCONTROLLED,
-    UNCONTROLLED_STRATEGY,
-    StrategySpec,
-)
+from .engine import POLICY, UNCONTROLLED, UNCONTROLLED_STRATEGY, StrategySpec
 from .errors import ConfigurationError
 from .traffic import SEED_LIMIT, WorkloadSpec, build_workload
 
@@ -32,6 +24,7 @@ STRATEGY_CHOICES = (UNCONTROLLED, POLICY, BOTH)
 PRESET_UNIFORM = "uniform"
 PRESET_CAPACITY = "capacity_proportional"
 PRESET_CHOICES = (PRESET_UNIFORM, PRESET_CAPACITY)
+SCALING_CHOICES = ("literal", "max_normalized")
 SWEEP_GLOBAL = "global"
 SWEEP_PER_CLUSTER = "per_cluster"
 SWEEP_CHOICES = (SWEEP_GLOBAL, SWEEP_PER_CLUSTER)
@@ -75,7 +68,7 @@ class ScenarioConfig:
     seed: int = 42
     strategy: str = BOTH
     policy_preset: str = PRESET_UNIFORM
-    weight_scaling: str = LITERAL
+    weight_scaling: str = "literal"
     threshold: float = 0.05
     interactive_rate: float = 0.0
     sweep_mode: str = SWEEP_GLOBAL
@@ -137,7 +130,10 @@ class ScenarioConfig:
                 self.policy_preset in PRESET_CHOICES,
                 f"policy_preset must be one of {PRESET_CHOICES}",
             ),
-            (self.weight_scaling in SCALINGS, f"weight_scaling must be one of {SCALINGS}"),
+            (
+                self.weight_scaling in SCALING_CHOICES,
+                f"weight_scaling must be one of {SCALING_CHOICES}",
+            ),
             (0 <= self.threshold <= 1, "threshold must be a probability"),
             (self.interactive_rate >= 0, "interactive_rate must be >= 0"),
             (
@@ -175,29 +171,27 @@ class ScenarioConfig:
             interactive_rate=self.interactive_rate,
         )
 
-    def policy_weights(self) -> PolicyWeights:
-        """Build the preset class weights: 1/n for each of the n classes.
-
-        capacity_proportional weights each class by the capacity of a
-        partition. Every partition has ports_per_partition ports, so that
-        is the uniform preset, except that it needs at least one port.
-        """
-        if self.policy_preset == PRESET_CAPACITY and self.ports_per_partition == 0:
-            raise ConfigurationError(
-                "capacity_proportional weights need at least one port"
-            )
-        n = self.num_clusters
-        return PolicyWeights((1.0 / n,) * n)
-
     def strategy_specs(self) -> list[tuple[str, StrategySpec]]:
-        """Named strategies this scenario runs, uncontrolled first."""
+        """Named strategies this scenario runs, uncontrolled first.
+
+        Both presets weight each of the n classes 1/n: capacity_proportional
+        weights a class by the capacity of a partition, and every partition
+        has ports_per_partition ports, though it needs at least one. Literal
+        gates are the weights; max_normalized divides them by the largest,
+        so every gate is 1.0 and the policy admits like uncontrolled.
+        """
         policy_name = f"policy-{self.policy_preset}-{self.weight_scaling}"
         specs: list[tuple[str, StrategySpec]] = []
         if self.strategy in (UNCONTROLLED, BOTH):
             specs.append((UNCONTROLLED, UNCONTROLLED_STRATEGY))
         if self.strategy in (POLICY, BOTH):
-            policy = StrategySpec(POLICY, self.policy_weights(), self.weight_scaling)
-            specs.append((policy_name, policy))
+            if self.policy_preset == PRESET_CAPACITY and self.ports_per_partition == 0:
+                raise ConfigurationError(
+                    "capacity_proportional weights need at least one port"
+                )
+            n = self.num_clusters
+            gate = 1.0 / n if self.weight_scaling == "literal" else 1.0
+            specs.append((policy_name, StrategySpec(POLICY, (gate,) * n)))
         return specs
 
 

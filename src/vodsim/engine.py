@@ -2,8 +2,8 @@
 
 Requests from the merged arrival stream ask the server for a free port;
 blocked and policed requests leave the system (blocked calls cleared, no
-retry). Admission strategies are pluggable: ``uncontrolled`` asks at once,
-``policy`` first passes a per-class Bernoulli gate.
+retry). An ``uncontrolled`` request asks at once; a ``policy`` request first
+passes a Bernoulli gate of its class.
 
 Admission depends only on the number of free ports among the N = sum of
 C_j ports of all partitions: a request that passes the gate is blocked
@@ -26,9 +26,9 @@ The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
 runs several strategies at one seed builds it once and passes it to each
 run, so every strategy sees the same arrivals. A stream passed in is
 checked first: arrays of one length, integer class ids of the workload,
-ascending times and holds >= 0. Policy gate uniforms, one per arrival in arrival order,
-come in one call from the run's own generator, seeded from the run seed
-under the gate tag.
+ascending times and holds >= 0. Policy gate uniforms, one per arrival in
+arrival order, come in one call from the run's own generator, seeded from
+the run seed under the gate tag.
 
 A run is strictly single-threaded and a pure function of its arguments;
 independent runs share no state and may execute concurrently.
@@ -37,13 +37,12 @@ independent runs share no state and may execute concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappush, heapreplace
 from typing import Sequence
 
 import numpy as np
 
-from .analytic import PolicyWeights
 from .errors import ConfigurationError, InternalConsistencyError
 from .metrics import ClassCounts, RunMetrics
 from .traffic import _GATE_TAG, ArrivalStream, WorkloadSpec, merged_arrival_stream
@@ -52,41 +51,26 @@ UNCONTROLLED = "uncontrolled"
 POLICY = "policy"
 MODES = (UNCONTROLLED, POLICY)
 
-LITERAL = "literal"
-MAX_NORMALIZED = "max_normalized"
-SCALINGS = (LITERAL, MAX_NORMALIZED)
 
 @dataclass(frozen=True)
 class StrategySpec:
     """Admission strategy: uncontrolled overflow, or a per-class policy gate.
 
-    In policy mode ``gates`` holds each class's pass probability: its weight
-    as given (literal), or divided by the largest weight (max_normalized),
-    so that the highest-priority class always passes.
+    In policy mode, and only then, ``gates`` holds each class's pass
+    probability, a number in [0, 1].
     """
 
     mode: str
-    weights: PolicyWeights | None = None
-    weight_scaling: str = LITERAL
-    gates: tuple[float, ...] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    gates: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.weight_scaling not in SCALINGS:
-            raise ConfigurationError(
-                f"weight_scaling must be one of {SCALINGS}, got {self.weight_scaling!r}"
-            )
-        if (self.mode == POLICY) != (self.weights is not None):
-            raise ConfigurationError("weights must be supplied iff mode is 'policy'")
-        if self.weights is not None:
-            gates = self.weights.weights
-            if self.weight_scaling == MAX_NORMALIZED:
-                top = max(gates)
-                gates = tuple(w / top for w in gates)
-            object.__setattr__(self, "gates", gates)
+        if (self.mode == POLICY) != (self.gates is not None):
+            raise ConfigurationError("gates must be supplied iff mode is 'policy'")
+        for i, g in enumerate(self.gates or ()):
+            if not 0.0 <= g <= 1.0:  # also false for a nan
+                raise ConfigurationError(f"gate[{i}] = {g} is outside [0, 1]")
 
 
 UNCONTROLLED_STRATEGY = StrategySpec(UNCONTROLLED)
@@ -236,9 +220,9 @@ def run(
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
-    if strategy.mode == POLICY and len(strategy.weights) < len(workload.clusters):
+    if strategy.mode == POLICY and len(strategy.gates) < len(workload.clusters):
         raise ConfigurationError(
-            f"policy weights cover {len(strategy.weights)} classes but the "
+            f"policy gates cover {len(strategy.gates)} classes but the "
             f"workload has {len(workload.clusters)}"
         )
     if len(capacities) < 1:

@@ -123,8 +123,6 @@ def admit(
     """
     if strategy.mode == POLICY:
         gates = strategy.gates
-        if gates is None:
-            raise ConfigurationError("policy strategy has no weights")
         try:
             gate = gates[request.class_id]
         except IndexError:
@@ -188,9 +186,9 @@ def reference_run(
     """The per-request, per-partition form of ``vodsim.engine.run``."""
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
-    if strategy.mode == POLICY and len(strategy.weights) < len(workload.clusters):
+    if strategy.mode == POLICY and len(strategy.gates) < len(workload.clusters):
         raise ConfigurationError(
-            f"policy weights cover {len(strategy.weights)} classes but the "
+            f"policy gates cover {len(strategy.gates)} classes but the "
             f"workload has {len(workload.clusters)}"
         )
     state = ClusterState(tuple(capacities))

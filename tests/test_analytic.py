@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vodsim.analytic import (
-    PolicyWeights,
     chain_blocking,
     erlang_b,
     erlang_b_direct,
@@ -61,30 +60,6 @@ class TestPartitionSpec:
         # a stage of 1.5 ports is rejected, not computed as 1 port
         with pytest.raises(ValueError, match="capacity"):
             chain_blocking([(1.0, 1.5)])
-
-
-class TestPolicyWeights:
-    def test_valid(self):
-        w = PolicyWeights((0.5, 0.3, 0.2))
-        assert len(w) == 3
-        assert w.weights[1] == 0.3
-
-    def test_sum_must_be_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            PolicyWeights((0.5, 0.4))
-
-    def test_entries_must_be_probabilities(self):
-        with pytest.raises(ValueError, match="outside"):
-            PolicyWeights((1.5, -0.5))
-
-    def test_sum_tolerance_is_absolute_1e9(self):
-        # 0.5 nanounits of slack passes, 2 nanounits does not
-        PolicyWeights((0.5, 0.5 + 0.5e-9))
-        with pytest.raises(ValueError):
-            PolicyWeights((0.5, 0.5 + 2e-9))
-
-    def test_accepts_list_input(self):
-        assert PolicyWeights([0.25] * 4).weights == (0.25,) * 4
 
 
 class TestErlangB:

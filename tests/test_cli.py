@@ -106,6 +106,22 @@ class TestRunSweep:
             for m in p.replications:
                 assert m.offered == m.admitted + m.policed + m.blocked
 
+    def test_max_normalized_policy_admits_like_uncontrolled(self):
+        # equal preset weights, max-normalised, make every gate 1.0
+        policy = run_sweep(
+            small_config(
+                strategy="policy",
+                policy_preset="capacity_proportional",
+                weight_scaling="max_normalized",
+            )
+        )
+        uncontrolled = run_sweep(small_config(strategy="uncontrolled"))
+        assert len(policy) == len(uncontrolled) == 2
+        for p, u in zip(policy, uncontrolled, strict=True):
+            assert p.traffic_rate == u.traffic_rate
+            assert p.replications == u.replications
+            assert all(m.policed == 0 for m in p.replications)
+
     def test_golden_variant_digest(self, tmp_path):
         cfg = tmp_path / "variant.cfg"
         cfg.write_text(GOLDEN_VARIANT)

@@ -1,11 +1,22 @@
 """Tests for the key=value config format and scenario defaults."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from vodsim.config import ScenarioConfig, parse_config
+from vodsim.cli import compare_analytic, main
+from vodsim.config import ScenarioConfig, load_config, parse_config
 from vodsim.errors import ConfigurationError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def policy_gates(**overrides):
+    """The gates of the policy strategy of ``ScenarioConfig(**overrides)``."""
+    ((_, spec),) = ScenarioConfig(strategy="policy", **overrides).strategy_specs()
+    return spec.gates
 
 
 class TestDefaults:
@@ -130,6 +141,12 @@ class TestParseErrors:
         with pytest.raises(ConfigurationError, match="seed"):
             parse_config("seed = -1\n")
 
+    def test_unknown_scaling_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "softmax.cfg"
+        cfg.write_text("weight_scaling = softmax\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "weight_scaling must be one of" in capsys.readouterr().err
+
 
 class TestScenarioHelpers:
     def test_capacities_equal_ports(self):
@@ -144,21 +161,35 @@ class TestScenarioHelpers:
         assert all(c.min_hold <= cl.mean_holding <= c.max_hold for cl in w.clusters)
 
     def test_uniform_weights(self):
-        c = ScenarioConfig(num_clusters=4)
-        w = c.policy_weights()
-        assert w.weights == (0.25,) * 4
+        # literal gates are the preset weights, 1/n for either preset
+        for preset in ("uniform", "capacity_proportional"):
+            for n in (1, 3, 4, 7, 30):
+                gates = policy_gates(num_clusters=n, policy_preset=preset)
+                assert gates == (1.0 / n,) * n
+
+    def test_max_normalized_gates_are_one(self):
+        for preset in ("uniform", "capacity_proportional"):
+            gates = policy_gates(
+                num_clusters=30, policy_preset=preset, weight_scaling="max_normalized"
+            )
+            assert gates == (1.0,) * 30
 
     def test_capacity_proportional_equals_uniform_for_equal_ports(self):
-        c = ScenarioConfig(num_clusters=30, policy_preset="capacity_proportional")
-        assert max(
-            abs(a - b)
-            for a, b in zip(c.policy_weights().weights, (1 / 30,) * 30)
-        ) < 1e-12
+        for scaling in ("literal", "max_normalized"):
+            assert policy_gates(
+                policy_preset="capacity_proportional", weight_scaling=scaling
+            ) == policy_gates(weight_scaling=scaling)
+
+    def test_capacity_proportional_needs_a_port(self):
+        c = ScenarioConfig(ports_per_partition=0, policy_preset="capacity_proportional")
+        with pytest.raises(ConfigurationError, match="at least one port"):
+            c.strategy_specs()
+        assert len(replace(c, strategy="uncontrolled").strategy_specs()) == 1
 
     def test_weights_sum_to_one(self):
         for preset in ("uniform", "capacity_proportional"):
-            c = ScenarioConfig(num_clusters=30, policy_preset=preset)
-            assert math.fsum(c.policy_weights().weights) == pytest.approx(1.0, abs=1e-9)
+            gates = policy_gates(num_clusters=30, policy_preset=preset)
+            assert math.fsum(gates) == pytest.approx(1.0, abs=1e-9)
 
     def test_strategy_specs_cardinality(self):
         assert [n for n, _ in ScenarioConfig(strategy="both").strategy_specs()] == [
@@ -176,3 +207,18 @@ class TestScenarioHelpers:
         )
         (name,) = [n for n, _ in c.strategy_specs()]
         assert name == "policy-capacity_proportional-max_normalized"
+
+
+class TestShippedConfigs:
+    def test_reference_cfg_is_the_empty_config(self):
+        assert load_config(CONFIGS / "reference.cfg") == parse_config("")
+
+    def test_every_config_loads(self):
+        paths = sorted(CONFIGS.glob("*.cfg"))
+        assert len(paths) >= 4
+        for path in paths:
+            load_config(path)
+
+    def test_erlang_check_passes_compare_analytic(self):
+        # the README's compare-analytic command
+        assert compare_analytic(load_config(CONFIGS / "erlang_check.cfg"), 0.02).passed

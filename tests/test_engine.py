@@ -22,7 +22,7 @@ from reference_engine import (
     reference_run,
     release,
 )
-from vodsim.analytic import PolicyWeights, erlang_b
+from vodsim.analytic import erlang_b
 from vodsim.engine import (
     UNCONTROLLED_STRATEGY,
     StrategySpec,
@@ -90,19 +90,19 @@ class TestAdmit:
         state = ClusterState((1, 1), occupied=[1, 1])
         rng = random.Random(0)
         assert admit(state, req(), UNCONTROLLED_STRATEGY, rng) is BLOCKED
-        policy = StrategySpec("policy", PolicyWeights((1.0,)))
+        policy = StrategySpec("policy", (1.0,))
         assert admit(state, req(), policy, rng) is BLOCKED
 
     def test_unit_gate_with_free_port_admits(self):
         state = ClusterState((4,))
-        policy = StrategySpec("policy", PolicyWeights((1.0,)))
+        policy = StrategySpec("policy", (1.0,))
         out = admit(state, req(), policy, random.Random(0))
         assert out == AdmissionOutcome("admitted", 0)
         assert state.occupied == [1]
 
     def test_zero_weight_is_always_policed(self):
         state = ClusterState((4, 4))
-        policy = StrategySpec("policy", PolicyWeights((0.0, 1.0)))
+        policy = StrategySpec("policy", (0.0, 1.0))
         rng = random.Random(1)
         for _ in range(50):
             assert admit(state, req(class_id=0), policy, rng) is POLICED
@@ -133,7 +133,7 @@ class TestAdmit:
 
     def test_class_outside_weights_rejected(self):
         state = ClusterState((2,))
-        policy = StrategySpec("policy", PolicyWeights((1.0,)))
+        policy = StrategySpec("policy", (1.0,))
         with pytest.raises(ValueError, match="class_id"):
             admit(state, req(class_id=5), policy, random.Random(0))
 
@@ -164,31 +164,14 @@ class TestRelease:
 
 
 class TestEffectiveGate:
-    """The per-class gate probability a policy strategy derives from its weights."""
-
-    def test_uniform_literal(self):
-        s = StrategySpec("policy", PolicyWeights((0.25,) * 4), "literal")
-        assert s.gates == (0.25,) * 4
-
-    def test_uniform_max_normalized(self):
-        s = StrategySpec("policy", PolicyWeights((0.25,) * 4), "max_normalized")
-        assert s.gates == (1.0,) * 4
-
-    def test_max_normalized_preserves_ratios(self):
-        s = StrategySpec("policy", PolicyWeights((0.5, 0.3, 0.2)), "max_normalized")
-        assert s.gates[1] == pytest.approx(0.6)
+    """The per-class pass probabilities a run applies."""
 
     def test_out_of_range_class(self):
-        # two weights give gates for classes 0 and 1 only; a run that offers
-        # class 2 is refused rather than given a made-up gate
-        s = StrategySpec("policy", PolicyWeights((0.5, 0.5)), "literal")
-        assert len(s.gates) == 2
+        # two gates cover classes 0 and 1 only; a run that offers class 2 is
+        # refused rather than given a made-up gate
+        s = StrategySpec("policy", (0.5, 0.5))
         with pytest.raises(ConfigurationError, match="class"):
             run(make_workload(1.0, 1.0, num_clusters=3), [1], s, 100.0, 0.0, seed=0)
-
-    def test_unknown_scaling(self):
-        with pytest.raises(ConfigurationError, match="weight_scaling"):
-            StrategySpec("policy", PolicyWeights((1.0,)), "softmax")
 
     def test_uncontrolled_has_no_gates(self):
         assert UNCONTROLLED_STRATEGY.gates is None
@@ -201,16 +184,21 @@ class TestStrategySpec:
 
     def test_uncontrolled_forbids_weights(self):
         with pytest.raises(ConfigurationError):
-            StrategySpec("uncontrolled", PolicyWeights((1.0,)))
+            StrategySpec("uncontrolled", (1.0,))
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigurationError):
             StrategySpec("adaptive")
 
-    def test_gates_precomputed(self):
-        s = StrategySpec("policy", PolicyWeights((0.5, 0.3, 0.2)), "max_normalized")
-        assert s.gates[0] == 1.0
-        assert s.gates[2] == pytest.approx(0.4)
+    def test_gates_kept_as_given(self):
+        s = StrategySpec("policy", (0.5, 0.3, 0.0, 1.0))
+        assert s.gates == (0.5, 0.3, 0.0, 1.0)
+        assert s == StrategySpec("policy", (0.5, 0.3, 0.0, 1.0))
+
+    def test_entries_must_be_probabilities(self):
+        for bad in (1.5, -0.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError, match=r"gate\[1\] = .* outside"):
+                StrategySpec("policy", (0.5, bad))
 
 
 class TestRun:
@@ -245,7 +233,7 @@ class TestRun:
 
     def test_policy_gate_polices_roughly_its_share(self):
         w = make_workload(5.0, 0.5, num_clusters=2)
-        strategy = StrategySpec("policy", PolicyWeights((0.5, 0.5)))
+        strategy = StrategySpec("policy", (0.5, 0.5))
         m = run(w, [100], strategy, 1_000.0, 0.0, seed=5)
         # both classes gated at 0.5: about half of all requests policed
         assert m.policed / m.offered == pytest.approx(0.5, abs=0.03)
@@ -276,7 +264,7 @@ class TestRun:
 
     def test_weights_must_cover_all_classes(self):
         w = make_workload(1.0, 1.0, num_clusters=3)
-        short = StrategySpec("policy", PolicyWeights((0.5, 0.5)))
+        short = StrategySpec("policy", (0.5, 0.5))
         with pytest.raises(ConfigurationError, match="covers? 2 classes"):
             run(w, [1], short, 100.0, 10.0, seed=0)
 
@@ -289,23 +277,17 @@ class TestRun:
 
     def test_policy_blocks_no_more_than_uncontrolled_here(self):
         w = make_workload(4.0, 1.0, num_clusters=2)
-        strategy = StrategySpec("policy", PolicyWeights((0.5, 0.5)))
+        strategy = StrategySpec("policy", (0.5, 0.5))
         unc = run(w, [3], UNCONTROLLED_STRATEGY, 2_000.0, 200.0, seed=23)
         pol = run(w, [3], strategy, 2_000.0, 200.0, seed=23)
         assert blocking_probability(pol, "server") <= blocking_probability(unc, "server")
 
     def test_unit_gate_policy_equals_uncontrolled(self):
         w = make_workload(4.0, 1.0, num_clusters=2)
-        all_pass = StrategySpec(
-            "policy", PolicyWeights((0.5, 0.5)), "max_normalized"
-        )
+        all_pass = StrategySpec("policy", (1.0, 1.0))
         unc = run(w, [3], UNCONTROLLED_STRATEGY, 1_000.0, 100.0, seed=31)
         pol = run(w, [3], all_pass, 1_000.0, 100.0, seed=31)
-        assert (pol.offered, pol.admitted, pol.blocked) == (
-            unc.offered,
-            unc.admitted,
-            unc.blocked,
-        )
+        assert pol == unc
         assert pol.policed == 0
 
     def test_interactive_sessions_occupy_ports(self):
@@ -443,11 +425,11 @@ class TestPooledAdmission:
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_policed_share_is_binomial(seed):
-    # four classes gated at 0.1 to 0.4 (literal weights), about 5,000
+    # four classes gated at 0.1 to 0.4, about 5,000
     # arrivals each: each class's policed count is Binomial(offered, 1 - gate)
     gates = (0.1, 0.2, 0.3, 0.4)
     w = make_workload(50.0, 0.01, num_clusters=4)
-    m = run(w, [1_000], StrategySpec("policy", PolicyWeights(gates)), 100.0, 0.0, seed)
+    m = run(w, [1_000], StrategySpec("policy", gates), 100.0, 0.0, seed)
     for c, gate in zip(m.per_class, gates):
         assert c.offered > 4_000
         sd = math.sqrt(c.offered * gate * (1 - gate))
@@ -474,7 +456,7 @@ def test_caller_stream_layout_changes_no_count(layout):
     native = ArrivalStream(
         np.array(odd.time, np.float64), np.array(odd.hold, np.float64), s.class_id
     )
-    policy = StrategySpec("policy", PolicyWeights((0.7, 0.3)))
+    policy = StrategySpec("policy", (0.7, 0.3))
     for strategy in (UNCONTROLLED_STRATEGY, policy):
         m = run(w, [1], strategy, 300.0, 30.0, 11, stream=native)
         assert m.blocked > 0
@@ -498,7 +480,7 @@ def test_caller_stream_is_checked(time, hold, class_id, match):
     # the bad arrival lies before the warmup, where it would count nothing
     w = make_workload(1.0, 1.0)
     stream = ArrivalStream(np.array(time), np.array(hold), np.array(class_id))
-    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", PolicyWeights((1.0,)))):
+    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0,))):
         with pytest.raises(ConfigurationError, match=match):
             run(w, [1], strategy, 10.0, 5.0, 0, stream=stream)
 
@@ -533,15 +515,11 @@ def small_runs(draw):
         )
     workload = WorkloadSpec(tuple(clusters), 1.0, 0.5, 3.0, 0)
     capacities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
-    # max_normalized gates come out as 0, 1 or 0.3 (literal: the weights)
-    raw = draw(st.lists(st.sampled_from([0.0, 1.0, 0.3]), min_size=k, max_size=k))
-    raw[draw(st.integers(0, k - 1))] = 1.0
+    gates = draw(st.lists(st.sampled_from([0.0, 1.0, 0.3]), min_size=k, max_size=k))
     if draw(st.booleans()):
         strategy = UNCONTROLLED_STRATEGY
     else:
-        weights = PolicyWeights(tuple(g / sum(raw) for g in raw))
-        scaling = draw(st.sampled_from(["literal", "max_normalized"]))
-        strategy = StrategySpec("policy", weights, scaling)
+        strategy = StrategySpec("policy", tuple(gates))
     horizon = draw(st.sampled_from([5.0, 30.0]))
     warmup = draw(st.sampled_from([0.0, 0.4 * horizon]))
     seed = draw(st.integers(0, 2**64 - 1))

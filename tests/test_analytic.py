@@ -214,6 +214,16 @@ class TestFreePortSelection:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+class TestPolicyWeights:
+    """A class's policy weight is its gate, the probability a request passes."""
+
+    def test_valid(self):
+        # each of three weights thins the admission of its own class
+        w = (0.5, 0.3, 0.2)
+        thinned = [policy_admission_prob(g, 0.5) for g in w]
+        assert thinned == pytest.approx([0.25, 0.15, 0.1], abs=1e-12)
+
+
 class TestPolicyAdmission:
     def test_unit_weight_is_identity(self):
         assert policy_admission_prob(1.0, 0.125) == 0.125

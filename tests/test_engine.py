@@ -23,6 +23,7 @@ from reference_engine import (
     release,
 )
 from vodsim.analytic import erlang_b
+from vodsim.config import ScenarioConfig
 from vodsim.engine import (
     UNCONTROLLED_STRATEGY,
     StrategySpec,
@@ -166,6 +167,11 @@ class TestRelease:
 class TestEffectiveGate:
     """The per-class pass probabilities a run applies."""
 
+    def test_uniform_literal(self):
+        # literal uniform weights reach the strategy as gates of 1/n
+        ((_, s),) = ScenarioConfig(num_clusters=4, strategy="policy").strategy_specs()
+        assert s.gates == (0.25,) * 4
+
     def test_out_of_range_class(self):
         # two gates cover classes 0 and 1 only; a run that offers class 2 is
         # refused rather than given a made-up gate
@@ -194,6 +200,14 @@ class TestStrategySpec:
         s = StrategySpec("policy", (0.5, 0.3, 0.0, 1.0))
         assert s.gates == (0.5, 0.3, 0.0, 1.0)
         assert s == StrategySpec("policy", (0.5, 0.3, 0.0, 1.0))
+
+    def test_gates_precomputed(self):
+        # a run applies the gates the spec holds: a class gated at 0 is
+        # policed whole and a class gated at 1 never
+        s = StrategySpec("policy", (0.0, 1.0))
+        m = run(make_workload(2.0, 1.0, num_clusters=2), [4], s, 200.0, 0.0, seed=3)
+        assert m.per_class[0].policed == m.per_class[0].offered > 0
+        assert m.per_class[1].policed == 0 < m.per_class[1].offered
 
     def test_entries_must_be_probabilities(self):
         for bad in (1.5, -0.5, float("nan"), float("inf"), -float("inf")):

@@ -19,16 +19,21 @@ blocked. So the next admitted arrival is the first at or after the earliest
 end, found by one bisection, and the loop takes one step per admitted
 arrival, not per arrival. Until the first arrival that finds all N ports
 busy, no arrival is blocked, so that prefix is admitted in numpy and the
-loop starts after it. The counts of a run come from one ``bincount`` of
-(class, outcome) pairs over the arrivals after the warmup.
+loop starts after it. That arrival is looked for in passes over leading
+windows of 2N + 1, 4N + 2, ... arrivals, and a window that would leave
+fewer arrivals after it than it holds takes the whole stream: a stream of
+fewer than 4(2N + 1) arrivals takes at most two passes, and the passes
+cover fewer than six times the prefix (plus two). The counts of a run
+come from one ``bincount`` of (class, outcome) pairs over the arrivals
+after the warmup.
 
 The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
 runs several strategies at one seed builds it once and passes it to each
 run, so every strategy sees the same arrivals. A stream passed in is
 checked first: arrays of one length, integer class ids of the workload,
-ascending times and holds >= 0. Policy gate uniforms, one per arrival in
-arrival order, come in one call from the run's own generator, seeded from
-the run seed under the gate tag.
+ascending times in [0, horizon) and holds >= 0. Policy gate uniforms,
+one per arrival in arrival order, come in one call from the run's own
+generator, seeded from the run seed under the gate tag.
 
 A run is strictly single-threaded and a pure function of its arguments;
 independent runs share no state and may execute concurrently.
@@ -89,33 +94,45 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
     busy_i = #{j < i : times[j] + holds[j] >= times[i]} ports busy (a session
     ending exactly at times[i] has in fact left, so a tie can end this
     prefix early but never late). Every arrival before the first
-    busy_i >= ports is therefore admitted. busy_i is counted over a window
-    of leading arrivals that doubles until it holds that arrival, so the
-    cost is bounded by the prefix, not by the stream. ``_pooled_admission``
-    takes over from there, over memoryviews of the rest of the arrays (no
-    copy), with the prefix's sessions still in progress as its heap.
+    busy_i >= ports is therefore admitted. busy_i does not depend on how
+    many arrivals it is counted over, so it is counted in passes over
+    leading windows of 2 * ports + 1 arrivals, then twice, four times ... as
+    many, until a window holds that arrival; a window that would leave
+    fewer arrivals after it than it holds takes the whole stream instead.
+    That arrival lies at an index p >= ports (busy_i <= i), or p = n when
+    there is none, so the last pass covers fewer than 4p + 2 arrivals and
+    all passes together fewer than 6p + 2: the cost is bounded by the
+    prefix, not by the stream. A stream of fewer than 4 * (2 * ports + 1)
+    arrivals takes at most two passes. ``_pooled_admission`` takes over
+    from there, over memoryviews of the rest of the arrays (no copy), with
+    the prefix's sessions still in progress as its heap.
     """
     n = len(times)
-    window = 2 * ports + 1
+    w = 2 * ports + 1
     while True:
-        w = min(window, n)
-        ends = np.sort(times[:w] + holds[:w])
-        # every j >= i ends at or after times[i], so "< times[i]" counts only j < i
-        busy = np.arange(w) - np.searchsorted(ends, times[:w], "left")
-        full = np.flatnonzero(busy >= ports)
+        if n - w < w:
+            w = n
+        ends = times[:w] + holds[:w]
+        ends.sort()
+        # every j >= i ends at or after times[i], so "< times[i]" counts only
+        # j < i, and busy_i >= ports reads (that count) <= i - ports
+        ended = ends.searchsorted(times[:w])
+        full = (ended <= np.arange(-ports, w - ports)).nonzero()[0]
         if len(full) or w == n:
             break
-        window *= 2
+        w *= 2
     admitted = np.ones(n, dtype=bool)
     if len(full):
         start = int(full[0])
         ends = times[:start] + holds[:start]
+        ends = ends[ends > times[start]]
+        ends.sort()
         admitted[start:] = np.frombuffer(
             _pooled_admission(
                 memoryview(times[start:]),
                 memoryview(holds[start:]),
                 ports,
-                np.sort(ends[ends > times[start]]).tolist(),
+                ends.tolist(),
             ),
             dtype=bool,
         )
@@ -171,7 +188,7 @@ def _pooled_admission(
     return admitted
 
 
-def _check_stream(stream: ArrivalStream, num_classes: int) -> None:
+def _check_stream(stream: ArrivalStream, num_classes: int, horizon: float) -> None:
     """Reject a caller-built stream that ``run`` cannot count or admit."""
     time, hold, class_id = stream.time, stream.hold, stream.class_id
     if not len(time) == len(hold) == len(class_id):
@@ -186,9 +203,14 @@ def _check_stream(stream: ArrivalStream, num_classes: int) -> None:
             f"stream class ids must lie in [0, {num_classes}), "
             f"got {class_id.min()} to {class_id.max()}"
         )
-    # ">=" is also false for a nan
+    # ">=" and "<" are also false for a nan
     if not np.all(time[1:] >= time[:-1]):
         raise ConfigurationError("stream times must be in ascending order")
+    # ascending, so the first and last times bound the rest
+    if len(time) and not (time[0] >= 0 and time[-1] < horizon):
+        raise ConfigurationError(
+            f"stream times must lie in [0, {horizon}), got {time[0]} to {time[-1]}"
+        )
     if not np.all(hold >= 0):
         raise ConfigurationError("stream holds must be >= 0")
 
@@ -213,10 +235,9 @@ def run(
     from the stream's, so uncontrolled and policy runs at the same seed see
     the same arrivals. A passed ``stream`` whose arrays differ in length,
     whose class ids are not integers in [0, number of clusters), whose
-    times are not ascending or whose holds are not >= 0 raises
-    :class:`ConfigurationError`. Counters only include
-    requests arriving at or after warmup; earlier requests still evolve the
-    state.
+    times are not ascending or not in [0, horizon) or whose holds are not
+    >= 0 raises :class:`ConfigurationError`. Counters only include requests
+    arriving at or after warmup; earlier requests still evolve the state.
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
@@ -235,7 +256,7 @@ def run(
     if stream is None:
         stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
     else:
-        _check_stream(stream, num_classes)
+        _check_stream(stream, num_classes, horizon)
     # float64 in native order, contiguous: the numpy prefix sums ends in the
     # same precision as the loop, and the loop's memoryviews can index them
     times = np.ascontiguousarray(stream.time, np.float64)
@@ -253,12 +274,12 @@ def run(
         admitted = _admission(times, holds, sum(capacities))
         outcome = np.where(admitted, np.int8(0), np.int8(2))
     # times are sorted, so the counted arrivals (at or after warmup) are a suffix
-    first = int(np.searchsorted(times, warmup))
+    first = int(times.searchsorted(warmup))
     counts = np.bincount(
         classes[first:] * 3 + outcome[first:], minlength=3 * num_classes
     ).reshape(num_classes, 3)
-    offered = counts.sum(axis=1).tolist()
     admits, policed, blocked = counts.T.tolist()
+    offered = [a + p + b for a, p, b in zip(admits, policed, blocked)]
     return RunMetrics(
         offered=sum(offered),
         admitted=sum(admits),

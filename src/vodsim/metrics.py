@@ -27,21 +27,30 @@ _CSV_HEADER = (
 # so this is the usual large-sample approximation, not a t quantile.
 _Z95 = 1.96
 
+_COUNTS = ("offered", "admitted", "policed", "blocked")
+
 
 def _check_conservation(label, offered, admitted, policed, blocked):
-    for name, v in (
-        ("offered", offered),
-        ("admitted", admitted),
-        ("policed", policed),
-        ("blocked", blocked),
+    # one expression for valid counts; the loop below only words the error
+    if (
+        isinstance(offered, int)
+        and isinstance(admitted, int)
+        and isinstance(policed, int)
+        and isinstance(blocked, int)
+        and offered >= 0
+        and admitted >= 0
+        and policed >= 0
+        and blocked >= 0
+        and offered == admitted + policed + blocked
     ):
+        return
+    for name, v in zip(_COUNTS, (offered, admitted, policed, blocked)):
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"{label}: {name} must be a non-negative integer, got {v!r}")
-    if offered != admitted + policed + blocked:
-        raise ValueError(
-            f"{label}: conservation violated: offered {offered} != "
-            f"admitted {admitted} + policed {policed} + blocked {blocked}"
-        )
+    raise ValueError(
+        f"{label}: conservation violated: offered {offered} != "
+        f"admitted {admitted} + policed {policed} + blocked {blocked}"
+    )
 
 
 @dataclass(frozen=True)
@@ -73,13 +82,21 @@ class RunMetrics:
         if not isinstance(self.per_class, tuple):
             object.__setattr__(self, "per_class", tuple(self.per_class))
         if self.per_class:
-            for name in ("offered", "admitted", "policed", "blocked"):
-                total = sum(getattr(c, name) for c in self.per_class)
-                if total != getattr(self, name):
-                    raise ValueError(
-                        f"per-class {name} sums to {total}, totals say "
-                        f"{getattr(self, name)}"
-                    )
+            # one pass over the classes; the loop below only words the error
+            offered = admitted = policed = blocked = 0
+            for c in self.per_class:
+                offered += c.offered
+                admitted += c.admitted
+                policed += c.policed
+                blocked += c.blocked
+            sums = (offered, admitted, policed, blocked)
+            totals = (self.offered, self.admitted, self.policed, self.blocked)
+            if sums != totals:
+                for name, total, expected in zip(_COUNTS, sums, totals):
+                    if total != expected:
+                        raise ValueError(
+                            f"per-class {name} sums to {total}, totals say {expected}"
+                        )
 
 
 def blocking_probability(m, scope: str = "server") -> float:

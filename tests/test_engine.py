@@ -436,6 +436,33 @@ class TestPooledAdmission:
         assert direct_count(times, holds, 1) == expected
         assert admission_flags(times, holds, 1) == expected
 
+    @pytest.mark.parametrize(
+        "n, full",
+        [
+            (40, 6),  # the last arrival of the first window of 2N + 1 = 7
+            (40, 7),  # the first arrival after it, in a second window of 14
+            (20, 16),  # the second window takes the whole stream: 14 + a tail of 6
+            (20, 19),  # the last arrival, in that absorbed tail
+            (40, 39),  # the last arrival, after windows of 7 and 14 and then all 40
+            (10, 9),  # the first window takes the whole stream
+            (40, None),  # no arrival finds all ports busy
+            (20, None),
+            (0, None),
+        ],
+    )
+    def test_first_full_arrival_at_a_pass_edge(self, n, full):
+        # three ports, one arrival per time unit; each hold ends before the
+        # next arrival, except the three just before ``full``, whose sessions
+        # are all in progress when arrival ``full`` comes and end one apart
+        # after it, so the loop starts from a heap of three
+        times = [float(i) for i in range(n)]
+        holds = [0.5] * n
+        if full is not None:
+            holds[full - 3 : full] = [3.6] * 3
+        expected = direct_count(times, holds, 3)
+        assert (expected.index(False) if False in expected else None) == full
+        assert admission_flags(times, holds, 3) == expected
+
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_policed_share_is_binomial(seed):
@@ -488,10 +515,15 @@ def test_caller_stream_layout_changes_no_count(layout):
         ([1.0, 2.0], [float("nan"), 1.0], [0, 0], "holds must be >= 0"),
         ([1.0, 2.0], [-1.0, 1.0], [0, 0], "holds must be >= 0"),
         ([1.0, 2.0], [1.0, 1.0], [0], "differ in length"),
+        ([float("nan")], [1.0], [0], r"times must lie in \[0, 10.0\), got nan to nan"),
+        ([1.0, 1e9], [1.0, 1.0], [0, 0], r"lie in \[0, 10.0\), got 1.0 to 1000000000.0"),
+        ([1.0, 10.0], [1.0, 1.0], [0, 0], r"lie in \[0, 10.0\), got 1.0 to 10.0"),
+        ([-1.0, 2.0], [1.0, 1.0], [0, 0], r"lie in \[0, 10.0\), got -1.0 to 2.0"),
     ],
 )
 def test_caller_stream_is_checked(time, hold, class_id, match):
-    # the bad arrival lies before the warmup, where it would count nothing
+    # a bad arrival before the warmup would count nothing; one arrival at
+    # nan, or one at or after the horizon, would be counted
     w = make_workload(1.0, 1.0)
     stream = ArrivalStream(np.array(time), np.array(hold), np.array(class_id))
     for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0,))):

@@ -1,8 +1,10 @@
 """Tests for counters, blocking scopes, aggregation, and CSV output."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -62,6 +64,95 @@ class TestConstructionInvariants:
     def test_valid_construction(self):
         m = mk(100, 60, 30, 10)
         assert m.offered == 100
+
+
+def reference_count_error(label, counts):
+    """The error message the count checks give ``counts``, or None.
+
+    The checks written as one rule at a time: each count in turn must be a
+    non-negative ``int``, then offered must equal the sum of the outcomes.
+    """
+    for name, v in zip(("offered", "admitted", "policed", "blocked"), counts):
+        if not isinstance(v, int) or v < 0:
+            return f"{label}: {name} must be a non-negative integer, got {v!r}"
+    offered, admitted, policed, blocked = counts
+    if offered != admitted + policed + blocked:
+        return (
+            f"{label}: conservation violated: offered {offered} != "
+            f"admitted {admitted} + policed {policed} + blocked {blocked}"
+        )
+    return None
+
+
+def count_error(build):
+    try:
+        build()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+ADMITTED = ClassCounts(1, 1, 0, 0)
+BLOCKED = ClassCounts(1, 0, 0, 1)
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((-1, -1, 0, 0), "offered must be a non-negative integer, got -1"),
+            ((1, 1, 0, -1), "blocked must be a non-negative integer, got -1"),
+            ((1.0, 1, 0, 0), "offered must be a non-negative integer, got 1.0"),
+            ((1, 1, None, 0), "policed must be a non-negative integer, got None"),
+            (
+                (1, np.int64(1), 0, 0),
+                f"admitted must be a non-negative integer, got {np.int64(1)!r}",
+            ),
+            (
+                (10, 5, 0, 0),
+                "conservation violated: offered 10 != admitted 5 + policed 0 + blocked 0",
+            ),
+            (
+                (0, 1, 0, 0),
+                "conservation violated: offered 0 != admitted 1 + policed 0 + blocked 0",
+            ),
+            ((1, 1, 0, 0), None),
+            ((True, True, False, False), None),
+            ((True, 0, 0, True), None),
+            ((2**70, 2**70 - 1, 0, 1), None),
+            ((0, 0, 0, 0), None),
+        ],
+    )
+    def test_class_counts_and_totals(self, counts, message):
+        for label, build in (
+            ("class counts", ClassCounts),
+            ("totals", lambda *c: RunMetrics(*c, (), 0)),
+        ):
+            expected = None if message is None else f"{label}: {message}"
+            assert count_error(lambda: build(*counts)) == expected
+
+    @pytest.mark.parametrize(
+        "totals, per_class, message",
+        [
+            ((9, 9, 0, 0), (ADMITTED, ADMITTED), "per-class offered sums to 2, totals say 9"),
+            ((2, 1, 0, 1), (ADMITTED, ADMITTED), "per-class admitted sums to 2, totals say 1"),
+            ((2, 1, 1, 0), (ADMITTED, BLOCKED), "per-class policed sums to 0, totals say 1"),
+            ((2, 2, 0, 0), (ADMITTED, BLOCKED), "per-class admitted sums to 1, totals say 2"),
+            ((0, 0, 0, 0), (ClassCounts(0, 0, 0, 0),), None),
+            ((3, 2, 0, 1), [ADMITTED, ClassCounts(2, 1, 0, 1)], None),
+            ((1, 1, 0, 0), (), None),
+        ],
+    )
+    def test_per_class_sums(self, totals, per_class, message):
+        assert count_error(lambda: RunMetrics(*totals, per_class, 0)) == message
+
+    def test_every_small_count_is_judged_as_one_rule_at_a_time(self):
+        values = (0, 1, 2, -1, True, False, 1.0, None, np.int64(1))
+        for counts in itertools.product(values, repeat=4):
+            expected = reference_count_error("class counts", counts)
+            assert count_error(lambda: ClassCounts(*counts)) == expected
+            expected = reference_count_error("totals", counts)
+            assert count_error(lambda: RunMetrics(*counts, (), 0)) == expected
 
 
 class TestBlockingProbability:

@@ -17,15 +17,25 @@ exactly when the earliest end is at or before t (a port freed "now" is
 available to an arrival "now"), and every arrival before that end is
 blocked. So the next admitted arrival is the first at or after the earliest
 end, found by one bisection, and the loop takes one step per admitted
-arrival, not per arrival. Until the first arrival that finds all N ports
-busy, no arrival is blocked, so that prefix is admitted in numpy and the
-loop starts after it. That arrival is looked for in passes over leading
-windows of 2N + 1, 4N + 2, ... arrivals, and a window that would leave
-fewer arrivals after it than it holds takes the whole stream: a stream of
-fewer than 4(2N + 1) arrivals takes at most two passes, and the passes
-cover fewer than six times the prefix (plus two). The counts of a run
-come from one ``bincount`` of (class, outcome) pairs over the arrivals
-after the warmup.
+arrival, not per arrival. From ``_ROUNDS_MIN_PORTS`` ports up (the
+reference server has 300), the engine instead advances every port by one
+session per numpy step: each port holds a free index, the first arrival at
+or after its session's end, and in one round every port takes the first
+arrival at or after its free index that no port has taken yet, in the
+order of the free indices. The admitted set is the unique one in which an
+arrival is admitted exactly when fewer than N earlier admitted sessions
+are in progress at its time, and claims made in any such order give it,
+so the rounds admit what the heap loop admits, in about admitted / N
+rounds rather than one Python step per admitted arrival. Below that port
+count the rounds are too many and the heap loop is faster. Until the first
+arrival that finds all N ports busy, no arrival is blocked, so that prefix
+is admitted in numpy and the loop or the rounds start after it. That
+arrival is looked for in passes over leading windows of 2N + 1, 4N + 2,
+... arrivals, and a window that would leave fewer arrivals after it than
+it holds takes the whole stream: a stream of fewer than 4(2N + 1)
+arrivals takes at most two passes, and the passes cover fewer than six
+times the prefix (plus two). The counts of a run come from one
+``bincount`` of (class, outcome) pairs over the arrivals after the warmup.
 
 The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
 runs several strategies at one seed builds it once and passes it to each
@@ -85,6 +95,15 @@ UNCONTROLLED_STRATEGY = StrategySpec(UNCONTROLLED)
 # point (93% blocked) runs average about 13 arrivals and about 1% are longer.
 _WINDOW = 64
 
+# From this many ports up, ``_admission`` goes on from its numpy prefix in
+# rounds over all ports (``_admission_rounds``), below it with the heap loop
+# (``_pooled_admission``). A round is about a dozen numpy calls, a heap step
+# one admitted arrival, and there are about admitted / ports rounds. Measured
+# (BENCH_12.json), the rounds cost more below about 75 ports at saturated
+# load and below about 125 just past the knee, and 0.5-0.7 times the heap
+# loop at 200-300 ports; at 2 ports they cost 3-6 times as much.
+_ROUNDS_MIN_PORTS = 128
+
 
 def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
     """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
@@ -103,9 +122,13 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
     there is none, so the last pass covers fewer than 4p + 2 arrivals and
     all passes together fewer than 6p + 2: the cost is bounded by the
     prefix, not by the stream. A stream of fewer than 4 * (2 * ports + 1)
-    arrivals takes at most two passes. ``_pooled_admission`` takes over
-    from there, over memoryviews of the rest of the arrays (no copy), with
-    the prefix's sessions still in progress as its heap.
+    arrivals takes at most two passes. From there, with the prefix's
+    sessions still in progress, ``_admission_rounds`` takes over on
+    ``_ROUNDS_MIN_PORTS`` ports or more, and ``_pooled_admission`` over
+    memoryviews of the rest of the arrays (no copy) on fewer. Both give the
+    one admitted set; they differ only in speed, which depends on the ports:
+    about admitted / ports numpy rounds against one Python step per
+    admitted arrival.
     """
     n = len(times)
     w = 2 * ports + 1
@@ -127,15 +150,72 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
         ends = times[:start] + holds[:start]
         ends = ends[ends > times[start]]
         ends.sort()
-        admitted[start:] = np.frombuffer(
-            _pooled_admission(
-                memoryview(times[start:]),
-                memoryview(holds[start:]),
-                ports,
-                ends.tolist(),
-            ),
-            dtype=bool,
-        )
+        if ports >= _ROUNDS_MIN_PORTS:
+            admitted[start:] = _admission_rounds(times[start:], holds[start:], ports, ends)
+        else:
+            admitted[start:] = np.frombuffer(
+                _pooled_admission(
+                    memoryview(times[start:]),
+                    memoryview(holds[start:]),
+                    ports,
+                    ends.tolist(),
+                ),
+                dtype=bool,
+            )
+    return admitted
+
+
+def _admission_rounds(
+    times: np.ndarray, holds: np.ndarray, ports: int, ends: np.ndarray
+) -> np.ndarray:
+    """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
+
+    ``ends`` holds the sorted end times of at most ``ports`` earlier
+    sessions in progress. Each port keeps a free index, the first arrival
+    at or after its session's end (0 for a port with none). In one round
+    every port whose free index lies in the stream takes the first arrival
+    at or after it that no port has taken yet, the ports in the order of
+    their free indices, and its free index becomes the first arrival at or
+    after the taken arrival's end. In numpy: the sorted free indices q are ranked among the untaken
+    arrivals, r = q - #(taken < q); port j of the order gets rank
+    max(r_k + j - k, k <= j), the first one free of the ports before it;
+    and a rank r maps back to the index r + #(taken c_k with c_k - k <= r).
+    No port's free index ever decreases, so taken arrivals below the least
+    one are dropped, which shifts every rank by the same amount.
+
+    The result is exact in any order of claims: every taken arrival finds
+    its port's earlier session ended and at most one session on each other
+    port, so fewer than ``ports`` earlier sessions in progress; every
+    untaken one finds each port busy with an earlier session (a port free
+    at it would have taken it, or an arrival before it). That is the rule
+    "admitted iff fewer than ``ports`` earlier admitted sessions are in
+    progress at its time", which has one solution, the heap loop's.
+    """
+    if len(ends) > ports:
+        raise InternalConsistencyError(f"{len(ends)} sessions in progress on {ports} ports")
+    n = len(times)
+    admitted = np.zeros(n, dtype=bool)
+    # a port with no session is free from arrival 0; more such ports than
+    # arrivals never take one. ``ends`` is sorted, so ``free`` is too.
+    free = np.concatenate(
+        (np.zeros(min(ports - len(ends), n), np.intp), times.searchsorted(ends))
+    )
+    free = free[: free.searchsorted(n)]
+    taken = free[:0]
+    while len(free):
+        taken = taken[taken.searchsorted(free[0]) :]
+        order = np.arange(len(free))
+        ranks = free - taken.searchsorted(free)
+        ranks = np.maximum.accumulate(ranks - order) + order
+        claims = ranks + (taken - np.arange(len(taken))).searchsorted(ranks, "right")
+        claims = claims[: claims.searchsorted(n)]  # ascending
+        admitted[claims] = True
+        ends = times[claims] + holds[claims]
+        ends.sort()
+        free = times.searchsorted(ends)
+        free = free[: free.searchsorted(n)]
+        taken = np.concatenate((taken, claims))
+        taken.sort(kind="stable")  # a merge of two ascending runs
     return admitted
 
 

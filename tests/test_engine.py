@@ -23,11 +23,13 @@ from reference_engine import (
     release,
 )
 from vodsim.analytic import erlang_b
-from vodsim.config import ScenarioConfig
+from vodsim.config import POINT_SEED_STRIDE, ScenarioConfig, parse_config
 from vodsim.engine import (
+    _ROUNDS_MIN_PORTS,
     UNCONTROLLED_STRATEGY,
     StrategySpec,
     _admission,
+    _admission_rounds,
     _pooled_admission,
     run,
 )
@@ -38,6 +40,7 @@ from vodsim.traffic import (
     ClusterSpec,
     WorkloadSpec,
     merged_arrival_stream,
+    scale_workload,
 )
 
 
@@ -314,11 +317,21 @@ class TestRun:
 
 
 def admission_flags(times, holds, ports):
-    """Admitted flags of ``_admission``, checked against the loop alone."""
-    flags = _admission(np.array(times, float), np.array(holds, float), ports)
-    loop = _pooled_admission(times, holds, ports, [])
-    assert flags.tolist() == [bool(f) for f in loop]
-    return flags.tolist()
+    """Admitted flags of ``_admission``, checked against the heap loop and the
+    rounds, each over the whole stream, at any port count."""
+    times, holds = np.array(times, float), np.array(holds, float)
+    flags = _admission(times, holds, ports).tolist()
+    loop = _pooled_admission(memoryview(times), memoryview(holds), ports, [])
+    assert flags == [bool(f) for f in loop]
+    assert _admission_rounds(times, holds, ports, np.empty(0)).tolist() == flags
+    return flags
+
+
+def admission_rounds(times, holds, ports, ends):
+    """``_admission_rounds`` on lists, the start sessions' ends in any order."""
+    return _admission_rounds(
+        np.array(times, float), np.array(holds, float), ports, np.sort(np.array(ends, float))
+    )
 
 
 def direct_count(times, holds, ports, ends=()):
@@ -351,11 +364,19 @@ class TestPooledAdmission:
         assert list(_pooled_admission([5.0], [1.0], 1, [6.0])) == [0]
         assert list(_pooled_admission([5.0], [1.0], 1, [5.0])) == [1]
 
-    @pytest.mark.parametrize("ports", [0, 2])
-    def test_more_sessions_than_ports_is_an_internal_error(self, ports):
+    @pytest.mark.parametrize(
+        "ports, admit",
+        [
+            pytest.param(0, _pooled_admission, id="0"),
+            pytest.param(2, _pooled_admission, id="2"),
+            pytest.param(0, admission_rounds, id="rounds-0"),
+            pytest.param(2, admission_rounds, id="rounds-2"),
+        ],
+    )
+    def test_more_sessions_than_ports_is_an_internal_error(self, ports, admit):
         departures = [6.0 + k for k in range(ports + 1)]
         with pytest.raises(InternalConsistencyError, match="sessions in progress"):
-            _pooled_admission([5.0], [1.0], ports, departures)
+            admit([5.0], [1.0], ports, departures)
 
     def test_zero_hold_tie_with_the_first_full_arrival(self):
         # the zero hold at 1 ends when it arrives, at the time of the first
@@ -389,7 +410,8 @@ class TestPooledAdmission:
     def test_start_heap_matches_a_direct_count(self, arrivals, ends, data):
         # sessions in progress at the start, at most one per port, end
         # before, at and after the first arrival, ties included; the loop
-        # reads lists and, as in production, memoryviews of float64 arrays
+        # reads lists and, as in production, memoryviews of float64 arrays;
+        # the rounds read the arrays and the sorted ends
         ports = data.draw(st.integers(len(ends), len(ends) + len(arrivals)))
         arrivals.sort(key=lambda a: a[0])
         times = [float(t) for t, _ in arrivals]
@@ -400,6 +422,7 @@ class TestPooledAdmission:
             heapq.heapify(departures)
             flags = _pooled_admission(seq(times), seq(holds), ports, departures)
             assert [bool(f) for f in flags] == expected
+        assert admission_rounds(times, holds, ports, ends).tolist() == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -544,12 +567,14 @@ def test_narrow_class_ids_count_like_intp():
 
 
 @st.composite
-def small_runs(draw):
+def small_runs(
+    draw, rates=(0.0, 0.5, 2.0, 6.0), capacity=st.integers(0, 3), horizons=(5.0, 30.0)
+):
     """A small workload, server, strategy and window for the differential test."""
     k = draw(st.integers(1, 4))
     clusters = []
     for c in range(k):
-        rate = draw(st.sampled_from([0.0, 0.5, 2.0, 6.0]))
+        rate = draw(st.sampled_from(rates))
         clusters.append(
             ClusterSpec(
                 c,
@@ -560,24 +585,59 @@ def small_runs(draw):
             )
         )
     workload = WorkloadSpec(tuple(clusters), 1.0, 0.5, 3.0, 0)
-    capacities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    capacities = draw(st.lists(capacity, min_size=1, max_size=4))
     gates = draw(st.lists(st.sampled_from([0.0, 1.0, 0.3]), min_size=k, max_size=k))
     if draw(st.booleans()):
         strategy = UNCONTROLLED_STRATEGY
     else:
         strategy = StrategySpec("policy", tuple(gates))
-    horizon = draw(st.sampled_from([5.0, 30.0]))
+    horizon = draw(st.sampled_from(horizons))
     warmup = draw(st.sampled_from([0.0, 0.4 * horizon]))
     seed = draw(st.integers(0, 2**64 - 1))
     return workload, capacities, strategy, horizon, warmup, seed
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_runs())
-def test_run_equals_reference_engine(case):
+def check_against_reference_engine(case):
     workload, _, _, horizon, _, seed = case
     expected = reference_run(*case)
     assert run(*case) == expected
     # a stream built once for the seed, as the CLI shares it among strategies
     stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
     assert run(*case, stream=stream) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_runs())
+def test_run_equals_reference_engine(case):
+    check_against_reference_engine(case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    small_runs(
+        rates=(100.0, 250.0, 600.0), capacity=st.integers(40, 120), horizons=(2.0, 6.0)
+    )
+)
+def test_run_equals_reference_engine_on_many_ports(case):
+    # 40 to 480 ports offered up to 7,200 erlangs over a few seconds, so most
+    # runs leave the numpy prefix, on both sides of the choice between the
+    # heap loop and the rounds that is made at _ROUNDS_MIN_PORTS
+    check_against_reference_engine(case)
+
+
+@pytest.mark.parametrize("point", range(30))
+def test_reference_sweep_streams_admit_alike_on_both_paths(point):
+    # the first replication's stream of each reference load point, on the
+    # reference server: the rounds that ``_admission`` picks there and the
+    # heap loop over the whole stream admit the same arrivals
+    config = parse_config("")
+    ports = sum(config.capacities())
+    assert ports >= _ROUNDS_MIN_PORTS
+    base = config.workload()
+    workload = scale_workload(base, base.clusters[point].traffic_rate / config.min_rate)
+    seed = config.seed + point * POINT_SEED_STRIDE
+    s = merged_arrival_stream(replace(workload, seed=seed), config.horizon)
+    flags = _admission(s.time, s.hold, ports)
+    assert not flags.all()  # every point blocks at these seeds, so it reaches the rounds
+    loop = _pooled_admission(memoryview(s.time), memoryview(s.hold), ports, [])
+    assert flags.tolist() == [bool(f) for f in loop]

@@ -99,9 +99,10 @@ _WINDOW = 64
 # rounds over all ports (``_admission_rounds``), below it with the heap loop
 # (``_pooled_admission``). A round is about a dozen numpy calls, a heap step
 # one admitted arrival, and there are about admitted / ports rounds. Measured
-# (BENCH_12.json), the rounds cost more below about 75 ports at saturated
-# load and below about 125 just past the knee, and 0.5-0.7 times the heap
-# loop at 200-300 ports; at 2 ports they cost 3-6 times as much.
+# (BENCH_12.json), the rounds cost more than the heap loop below about 65
+# ports at saturated load and below about 125 just past the knee, 0.4-0.7
+# times as much at 300 ports, and 15-30 times as much on the 2-port
+# configs/erlang_check.cfg.
 _ROUNDS_MIN_PORTS = 128
 
 

@@ -177,12 +177,13 @@ def _admission_rounds(
     every port whose free index lies in the stream takes the first arrival
     at or after it that no port has taken yet, the ports in the order of
     their free indices, and its free index becomes the first arrival at or
-    after the taken arrival's end. In numpy: the sorted free indices q are ranked among the untaken
-    arrivals, r = q - #(taken < q); port j of the order gets rank
-    max(r_k + j - k, k <= j), the first one free of the ports before it;
-    and a rank r maps back to the index r + #(taken c_k with c_k - k <= r).
-    No port's free index ever decreases, so taken arrivals below the least
-    one are dropped, which shifts every rank by the same amount.
+    after the taken arrival's end. In numpy: the sorted free indices q are
+    ranked among the untaken arrivals, r = q - #(taken < q); port j of the
+    order gets rank max(r_k + j - k, k <= j), the first one free of the
+    ports before it; and a rank r maps back to the index
+    r + #(taken c_k with c_k - k <= r). No port's free index ever
+    decreases, so taken arrivals below the least one are dropped, which
+    shifts every rank by the same amount.
 
     The result is exact in any order of claims: every taken arrival finds
     its port's earlier session ended and at most one session on each other

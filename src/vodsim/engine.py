@@ -32,11 +32,19 @@ break even at about 65 ports under saturated load and about 125 just past
 the knee, and the constant is 128. Until the first arrival that finds
 all N ports busy, no arrival is blocked, so that prefix is admitted in
 numpy and the loop or the rounds start after it. That arrival is looked
-for in passes over leading windows of 2N + 1, 4N + 2, ... arrivals, and a
-window that would leave fewer arrivals after it than it holds takes the
-whole stream: a stream of fewer than 4(2N + 1) arrivals takes at most two
-passes, and the passes cover fewer than six times the prefix (plus two). The counts of a run come from one
-``bincount`` of (class, outcome) pairs over the arrivals after the warmup.
+for in one pass over a stream of fewer than 4(2N + 1) arrivals, and in a
+longer stream in passes over leading windows of 2N + 1, 4N + 2, ...
+arrivals, a window that would leave fewer arrivals after it than it holds
+taking the whole stream. Either way the passes cover fewer than 4(2p + 1)
+arrivals, p >= N the index of that arrival, or the stream length when no
+arrival fills the ports.
+
+A run counts the arrivals after the warmup per class with ``bincount``:
+all of them (offered), those that passed the gate (policy mode only) and
+those admitted. Each is a subset of the one before, so policed and blocked
+are differences of these counts, conservation holds by arithmetic, and the
+per-class records are built unchecked after one vectorised check that
+every count is >= 0.
 
 The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
 runs several strategies at one seed builds it once and passes it to each
@@ -116,16 +124,19 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
     ending exactly at times[i] has in fact left, so a tie can end this
     prefix early but never late). Every arrival before the first
     busy_i >= ports is therefore admitted. busy_i does not depend on how
-    many arrivals it is counted over, so it is counted in passes over
-    leading windows of 2 * ports + 1 arrivals, then twice, four times ... as
-    many, until a window holds that arrival; a window that would leave
+    many arrivals it is counted over. A stream of fewer than
+    4 * (2 * ports + 1) arrivals, which the windows below would cover in
+    two passes when its first window does not fill the ports, is counted
+    in one pass over all of it. A longer one is counted in passes over
+    leading windows of 2 * ports + 1 arrivals, then twice, four times ...
+    as many, until a window holds that arrival; a window that would leave
     fewer arrivals after it than it holds takes the whole stream instead.
     That arrival lies at an index p >= ports (busy_i <= i), or p = n when
-    there is none, so the last pass covers fewer than 4p + 2 arrivals and
-    all passes together fewer than 6p + 2: the cost is bounded by the
-    prefix, not by the stream. A stream of fewer than 4 * (2 * ports + 1)
-    arrivals takes at most two passes. From there, with the prefix's
-    sessions still in progress, ``_admission_rounds`` takes over on
+    there is none. The one pass over a short stream covers
+    n < 4 * (2p + 1) arrivals; on a longer one the last pass covers fewer
+    than 4p + 2 and all passes together fewer than 6p + 2. Either way the
+    cost is bounded by the prefix, not by the stream. From there, with the
+    prefix's sessions still in progress, ``_admission_rounds`` takes over on
     ``_ROUNDS_MIN_PORTS`` ports or more, and ``_pooled_admission`` over
     memoryviews of the rest of the arrays (no copy) on fewer. Both give the
     one admitted set, in which an arrival is admitted exactly when fewer
@@ -138,9 +149,9 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
     """
     n = len(times)
     w = 2 * ports + 1
+    if n < 4 * w:
+        w = n
     while True:
-        if n - w < w:
-            w = n
         ends = times[:w] + holds[:w]
         ends.sort()
         # every j >= i ends at or after times[i], so "< times[i]" counts only
@@ -150,6 +161,8 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
         if len(full) or w == n:
             break
         w *= 2
+        if n - w < w:
+            w = n
     admitted = np.ones(n, dtype=bool)
     if len(full):
         start = int(full[0])
@@ -348,30 +361,27 @@ def run(
     # same precision as the loop, and the loop's memoryviews can index them
     times = np.ascontiguousarray(stream.time, np.float64)
     holds = np.ascontiguousarray(stream.hold, np.float64)
-    # wide enough for the (class, outcome) keys below
-    classes = stream.class_id.astype(np.intp, copy=False)
-    # outcome per arrival, one byte each: 0 admitted, 1 policed, 2 blocked
+    classes = stream.class_id.astype(np.intp, copy=False)  # bincount's index type
+    # times are sorted, so the counted arrivals (at or after warmup) are a suffix
+    first = int(times.searchsorted(warmup))
+    offered = np.bincount(classes[first:], minlength=num_classes)
+    entered = offered
     if strategy.mode == POLICY:
         gate_rng = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed]))
         passed = gate_rng.random(len(stream)) < np.array(strategy.gates)[classes]
-        outcome = np.ones(len(stream), np.int8)
-        admitted = _admission(times[passed], holds[passed], sum(capacities))
-        outcome[passed] = np.where(admitted, np.int8(0), np.int8(2))
-    else:
-        admitted = _admission(times, holds, sum(capacities))
-        outcome = np.where(admitted, np.int8(0), np.int8(2))
-    # times are sorted, so the counted arrivals (at or after warmup) are a suffix
-    first = int(times.searchsorted(warmup))
-    counts = np.bincount(
-        classes[first:] * 3 + outcome[first:], minlength=3 * num_classes
-    ).reshape(num_classes, 3)
-    admits, policed, blocked = counts.T.tolist()
-    offered = [a + p + b for a, p, b in zip(admits, policed, blocked)]
+        times, holds, classes = times[passed], holds[passed], classes[passed]
+        first = int(times.searchsorted(warmup))
+        entered = np.bincount(classes[first:], minlength=num_classes)
+    admitted = _admission(times, holds, sum(capacities))
+    admits = np.bincount(classes[first:][admitted[first:]], minlength=num_classes)
+    # each count is of a subset of the arrivals of the one before, so every
+    # column is >= 0, and offered = admitted + policed + blocked by arithmetic
+    counts = np.stack((offered, admits, offered - entered, entered - admits))
+    if (counts < 0).any():
+        raise InternalConsistencyError(f"negative per-class counts {counts.T.tolist()}")
+    totals = counts.sum(axis=1).tolist()
     return RunMetrics(
-        offered=sum(offered),
-        admitted=sum(admits),
-        policed=sum(policed),
-        blocked=sum(blocked),
-        per_class=tuple(map(ClassCounts, offered, admits, policed, blocked)),
+        *totals,
+        per_class=tuple(map(ClassCounts._make, counts.T.tolist())),
         seed=seed,
     )

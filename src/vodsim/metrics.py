@@ -10,6 +10,7 @@ serialized as an absent value, never as 0.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,17 +54,21 @@ def _check_conservation(label, offered, admitted, policed, blocked):
     )
 
 
-@dataclass(frozen=True)
-class ClassCounts:
-    """Post-warmup request counts for one request class."""
+class ClassCounts(namedtuple("ClassCounts", _COUNTS)):
+    """Post-warmup request counts for one request class.
 
-    offered: int
-    admitted: int
-    policed: int
-    blocked: int
+    A tuple of (offered, admitted, policed, blocked), so it also equals a
+    plain 4-tuple of those counts. Calling the class checks the counts;
+    ``ClassCounts._make`` (and so ``_replace``) does not, and is for a
+    caller that has already checked them, as ``engine.run`` checks all
+    classes at once.
+    """
 
-    def __post_init__(self) -> None:
-        _check_conservation("class counts", self.offered, self.admitted, self.policed, self.blocked)
+    __slots__ = ()
+
+    def __new__(cls, offered: int, admitted: int, policed: int, blocked: int):
+        _check_conservation("class counts", offered, admitted, policed, blocked)
+        return super().__new__(cls, offered, admitted, policed, blocked)
 
 
 @dataclass(frozen=True)
@@ -82,14 +87,9 @@ class RunMetrics:
         if not isinstance(self.per_class, tuple):
             object.__setattr__(self, "per_class", tuple(self.per_class))
         if self.per_class:
-            # one pass over the classes; the loop below only words the error
-            offered = admitted = policed = blocked = 0
-            for c in self.per_class:
-                offered += c.offered
-                admitted += c.admitted
-                policed += c.policed
-                blocked += c.blocked
-            sums = (offered, admitted, policed, blocked)
+            # each ClassCounts is a tuple, so the columns zip; the loop below
+            # only words the error
+            sums = tuple(map(sum, zip(*self.per_class)))
             totals = (self.offered, self.admitted, self.policed, self.blocked)
             if sums != totals:
                 for name, total, expected in zip(_COUNTS, sums, totals):

@@ -34,7 +34,7 @@ from vodsim.engine import (
     run,
 )
 from vodsim.errors import ConfigurationError, InternalConsistencyError
-from vodsim.metrics import blocking_probability
+from vodsim.metrics import ClassCounts, blocking_probability
 from vodsim.traffic import (
     ArrivalStream,
     ClusterSpec,
@@ -462,13 +462,26 @@ class TestPooledAdmission:
     @pytest.mark.parametrize(
         "n, full",
         [
+            # around 4(2N + 1) = 28, the shortest stream that does not take
+            # one pass over the whole of it, with the first full arrival at N
+            (27, 3),
+            (28, 3),
+            (29, 3),
+            (27, 4),
+            (28, 4),
+            (27, 26),  # the last arrival of a stream taken in one pass
+            (20, 16),  # shorter streams taken in one pass
+            (20, 19),
+            (10, 9),
             (40, 6),  # the last arrival of the first window of 2N + 1 = 7
             (40, 7),  # the first arrival after it, in a second window of 14
-            (20, 16),  # the second window takes the whole stream: 14 + a tail of 6
-            (20, 19),  # the last arrival, in that absorbed tail
-            (40, 39),  # the last arrival, after windows of 7 and 14 and then all 40
-            (10, 9),  # the first window takes the whole stream
-            (40, None),  # no arrival finds all ports busy
+            (28, 27),  # the last arrival, after windows of 7 and 14 and then all 28
+            (29, 20),  # a third window of 28 would leave 1 after it: all 29
+            (40, 39),  # windows of 7 and 14, then all 40
+            (60, 59),  # windows of 7, 14 and 28, then all 60
+            (27, None),  # no arrival finds all ports busy
+            (28, None),
+            (40, None),
             (20, None),
             (0, None),
         ],
@@ -555,13 +568,13 @@ def test_caller_stream_is_checked(time, hold, class_id, match):
 
 
 def test_narrow_class_ids_count_like_intp():
-    # 60 classes: ids past 42 would overflow int8 in the (class, outcome) keys
+    # 60 classes, counted by bincount over ids of any integer type
     w = make_workload(2.0, 1.0, num_clusters=60)
     s = merged_arrival_stream(replace(w, seed=5), 200.0)
     assert s.class_id.max() > 42
     m = run(w, [20], UNCONTROLLED_STRATEGY, 200.0, 20.0, 5)
     assert m.blocked > 0
-    for dtype in (np.int8, np.uint8, np.int32):
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
         narrow = ArrivalStream(s.time, s.hold, s.class_id.astype(dtype))
         assert run(w, [20], UNCONTROLLED_STRATEGY, 200.0, 20.0, 5, stream=narrow) == m
 
@@ -604,6 +617,38 @@ def check_against_reference_engine(case):
     # a stream built once for the seed, as the CLI shares it among strategies
     stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
     assert run(*case, stream=stream) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_runs(), st.data())
+def test_per_class_records_are_checked_class_counts(case, data):
+    # ``run`` builds its records unchecked, after one check of all classes,
+    # so each must still be what a checked ClassCounts would be
+    workload, capacities, _, horizon, warmup, seed = case
+    k = len(workload.clusters)
+    gates = data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=k, max_size=k))
+    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", tuple(gates))):
+        args = (workload, capacities, strategy, horizon, warmup, seed)
+        records = run(*args).per_class
+        expected = reference_run(*args).per_class
+        assert len(records) == len(expected) == k
+        for c, e in zip(records, expected):
+            assert type(c) is ClassCounts
+            assert all(type(v) is int and v >= 0 for v in c)
+            assert c.offered == c.admitted + c.policed + c.blocked
+            assert c == e
+
+
+def test_negative_class_counts_are_an_internal_error(monkeypatch):
+    # flags read as bytes rather than as bools index the arrivals by 1, so
+    # each of the six reads as the second, of class 0, which offered four
+    w = make_workload(1.0, 1.0, num_clusters=2)
+    stream = ArrivalStream(np.arange(6.0), np.ones(6), np.array([0, 0, 0, 0, 1, 1]))
+    monkeypatch.setattr(
+        "vodsim.engine._admission", lambda times, holds, ports: np.ones(len(times), np.uint8)
+    )
+    with pytest.raises(InternalConsistencyError, match="negative per-class counts"):
+        run(w, [1], UNCONTROLLED_STRATEGY, 10.0, 0.0, 0, stream=stream)
 
 
 @settings(max_examples=150, deadline=None)

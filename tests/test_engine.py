@@ -462,8 +462,8 @@ class TestPooledAdmission:
     @pytest.mark.parametrize(
         "n, full",
         [
-            # around 4(2N + 1) = 28, the shortest stream that does not take
-            # one pass over the whole of it, with the first full arrival at N
+            # around 4(2N + 1) = 28, the shortest stream not taken in one
+            # pass, with the first full arrival at N or N + 1
             (27, 3),
             (28, 3),
             (29, 3),

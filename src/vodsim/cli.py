@@ -27,8 +27,8 @@ from .config import (
     load_config,
 )
 from .engine import POLICY, UNCONTROLLED, UNCONTROLLED_STRATEGY, StrategySpec, run
-from .errors import ConfigurationError, InternalConsistencyError, UndefinedMetricError
-from .metrics import RunMetrics, SweepPoint, aggregate, to_csv
+from .errors import ConfigurationError, InternalConsistencyError
+from .metrics import RunMetrics, SweepPoint, _stats, blocking_probability, to_csv
 from .traffic import WorkloadSpec, merged_arrival_stream, scale_workload
 
 
@@ -164,9 +164,8 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
     [(_, replications)] = _replications(
         config, workload, [(UNCONTROLLED, UNCONTROLLED_STRATEGY)]
     )
-    try:
-        simulated, halfwidth = aggregate(replications, "server")
-    except UndefinedMetricError:
+    simulated, halfwidth = _stats(replications, blocking_probability)
+    if simulated is None:
         # zero offered traffic: nothing was ever denied
         simulated, halfwidth = 0.0, 0.0
     difference = abs(simulated - analytic)
@@ -188,17 +187,22 @@ def _print_points(config: ScenarioConfig, points: list[SweepPoint]) -> None:
         f"{'ci95':>9} {'vs_threshold':>12}"
     )
     for p in sorted(points, key=lambda p: (p.traffic_rate, p.strategy)):
-        if p.mean_blocking is None:
+        mean, halfwidth = _stats(p.replications, blocking_probability)
+        if mean is None:
             blocking, ci, verdict = "n/a", "n/a", "n/a"
         else:
-            blocking = f"{p.mean_blocking:.6f}"
-            ci = f"{p.ci95_halfwidth:.6f}"
-            verdict = "below" if p.mean_blocking <= config.threshold else "above"
+            blocking = f"{mean:.6f}"
+            ci = f"{halfwidth:.6f}"
+            verdict = "below" if mean <= config.threshold else "above"
         print(f"{p.traffic_rate:>10.4g} {p.strategy:<44} {blocking:>16} {ci:>9} {verdict:>12}")
 
 
 def _write_csv(path: str, points: list[SweepPoint]) -> None:
-    Path(path).write_text(to_csv(points), newline="\n")
+    text = to_csv(points)
+    try:
+        Path(path).write_text(text, newline="\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write CSV {path}: {exc}") from None
 
 
 def _cmd_run(args) -> int:

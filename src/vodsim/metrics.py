@@ -149,32 +149,38 @@ def _mean_and_halfwidth(values: Sequence[float]) -> tuple[float, float]:
     return mean, _Z95 * math.sqrt(variance) / math.sqrt(n)
 
 
+def _stats(replications: Sequence, metric) -> tuple[float | None, float | None]:
+    """(mean, halfwidth) of ``metric`` over replications, or (None, None)
+    when the metric is undefined in any replication."""
+    try:
+        return _mean_and_halfwidth([metric(m) for m in replications])
+    except UndefinedMetricError:
+        return None, None
+
+
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregated result of one (traffic rate, strategy) sweep cell.
+    """The replications of one (traffic rate, strategy) sweep cell.
 
-    mean_blocking and ci95_halfwidth are server-scope; both are None when
-    the metric was undefined in some replication. The raw replications are
-    kept so other scopes can be derived.
+    A point holds only its replications; every statistic is derived from
+    them by one function, as a mean with a 95% normal-quantile (1.96)
+    halfwidth. mean_blocking and ci95_halfwidth are server-scope and both
+    None when the metric was undefined in some replication. Each read
+    recomputes them.
     """
 
     traffic_rate: float
     offered_erlangs: float
     strategy: str
     replications: tuple[RunMetrics, ...]
-    mean_blocking: float | None
-    ci95_halfwidth: float | None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.replications, tuple):
-            object.__setattr__(self, "replications", tuple(self.replications))
-        if (self.mean_blocking is None) != (self.ci95_halfwidth is None):
-            raise ValueError("mean_blocking and ci95_halfwidth must be absent together")
-        if self.mean_blocking is not None:
-            if not 0.0 <= self.mean_blocking <= 1.0:
-                raise ValueError(f"mean_blocking {self.mean_blocking} outside [0, 1]")
-            if self.ci95_halfwidth < 0.0:
-                raise ValueError(f"ci95_halfwidth {self.ci95_halfwidth} negative")
+    @property
+    def mean_blocking(self) -> float | None:
+        return _stats(self.replications, blocking_probability)[0]
+
+    @property
+    def ci95_halfwidth(self) -> float | None:
+        return _stats(self.replications, blocking_probability)[1]
 
     @classmethod
     def from_replications(
@@ -184,25 +190,13 @@ class SweepPoint:
         strategy: str,
         replications: Iterable[RunMetrics],
     ) -> "SweepPoint":
-        replications = tuple(replications)
-        try:
-            mean, halfwidth = aggregate(replications, "server")
-        except UndefinedMetricError:
-            mean, halfwidth = None, None
-        return cls(traffic_rate, offered_erlangs, strategy, replications, mean, halfwidth)
+        return cls(traffic_rate, offered_erlangs, strategy, tuple(replications))
 
 
 def _fmt(value: float | None) -> str:
     if value is None:
         return ""
     return f"{value:.12g}"
-
-
-def _safe_stats(replications, metric) -> tuple[float | None, float | None]:
-    try:
-        return _mean_and_halfwidth([metric(m) for m in replications])
-    except UndefinedMetricError:
-        return None, None
 
 
 def to_csv(points: Iterable[SweepPoint]) -> str:
@@ -214,10 +208,11 @@ def to_csv(points: Iterable[SweepPoint]) -> str:
     """
     lines = [_CSV_HEADER]
     for p in sorted(points, key=lambda p: (p.traffic_rate, p.strategy)):
-        total_mean, total_hw = _safe_stats(
+        server_mean, server_hw = _stats(p.replications, blocking_probability)
+        total_mean, total_hw = _stats(
             p.replications, lambda m: blocking_probability(m, "total_denial")
         )
-        policed_mean, _ = _safe_stats(p.replications, policed_fraction)
+        policed_mean, _ = _stats(p.replications, policed_fraction)
         lines.append(
             ",".join(
                 (
@@ -225,8 +220,8 @@ def to_csv(points: Iterable[SweepPoint]) -> str:
                     _fmt(p.offered_erlangs),
                     p.strategy,
                     str(len(p.replications)),
-                    _fmt(p.mean_blocking),
-                    _fmt(p.ci95_halfwidth),
+                    _fmt(server_mean),
+                    _fmt(server_hw),
                     _fmt(total_mean),
                     _fmt(total_hw),
                     _fmt(policed_mean),

@@ -314,6 +314,34 @@ class TestMainCli:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_utf8_config_exits_2_without_traceback(self, tmp_path, command):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_bytes(b"seed = 4\xff\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "vodsim", command, "--config", str(cfg),
+             "--out", str(tmp_path / "x.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "configuration error: cannot read config" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("target", ["missing-parent", "directory"])
+    def test_unwritable_out_exits_2_without_traceback(self, tmp_path, command, target):
+        out = tmp_path / "missing" / "x.csv" if target == "missing-parent" else tmp_path
+        result = subprocess.run(
+            [sys.executable, "-m", "vodsim", command, "--config",
+             self.write_config(tmp_path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "configuration error: cannot write CSV" in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -197,6 +197,16 @@ def _print_points(config: ScenarioConfig, points: list[SweepPoint]) -> None:
         print(f"{p.traffic_rate:>10.4g} {p.strategy:<44} {blocking:>16} {ci:>9} {verdict:>12}")
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out that names a directory or lies in a missing one,
+    before any run, so a typo costs no simulation."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigurationError(f"cannot write CSV {path}: it is a directory")
+    if not out.parent.is_dir():
+        raise ConfigurationError(f"cannot write CSV {path}: no directory {out.parent}")
+
+
 def _write_csv(path: str, points: list[SweepPoint]) -> None:
     text = to_csv(points)
     try:
@@ -211,6 +221,8 @@ def _cmd_run(args) -> int:
         config = replace(config, seed=args.seed)
     if args.strategy is not None:
         config = replace(config, strategy=args.strategy)
+    if args.out is not None:
+        _check_out(args.out)
     points = run_scenario(config)
     print(f"scenario run: {config.num_clusters} clusters, seed {config.seed}, "
           f"{config.replications} replications, threshold {config.threshold}")
@@ -223,6 +235,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
+    _check_out(args.out)
     points = run_sweep(config)
     print(f"sweep ({config.sweep_mode}): {config.num_clusters} points, "
           f"seed {config.seed}, {config.replications} replications per point")

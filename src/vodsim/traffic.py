@@ -6,12 +6,16 @@ consumes. Arrivals are Poisson per cluster and holding times exponential
 with a per-cluster mean. The merged stream, the superposition of all
 clusters, is drawn whole from one generator per run: a Poisson count,
 sorted times from normalised exponential spacings, and a class mark per
-arrival. The marks are looked up in a guide table of equal cells of the
-uniform, exact because the cell count is a power of two; only the few
-arrivals whose mark reaches a class bound inside its cell are bisected
-again. It is returned as an :class:`ArrivalStream` of parallel numpy
-arrays (arrival time, holding time, class id) rather than one object per
-request, written in place in the buffers the generator filled.
+arrival. The marks are looked up in a guide table of M equal cells of the
+uniform, exact because M is a power of two; only the few arrivals whose
+mark reaches a class bound inside its cell are bisected again. What the
+stream needs of its workload (live classes, class bounds, the guide table
+with M set by the class count, holding means) is built once per workload
+and shared by all its replications. The stream is returned as an
+:class:`ArrivalStream` of parallel numpy arrays (arrival time, holding
+time, class id) rather than one object per request, in three buffers: the
+times in the generator's exponentials, the holds in its uniforms, and the
+class ids from the guide.
 
 All randomness flows from explicit seeds. Generator state is single-owner:
 one stream is advanced by one caller at a time; distinct seeds may run
@@ -190,27 +194,69 @@ def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
     return replace(spec, clusters=clusters)
 
 
-def _class_marks(u: np.ndarray, bounds: np.ndarray, total: float) -> np.ndarray:
-    """``searchsorted(bounds[:-1], u * total, "right")``, bit for bit.
+# The last workload's stream tables as one (clusters, tables) pair. It is read
+# and replaced whole, so a caller on another thread never pairs one
+# workload's key with another's tables.
+_tables_memo: tuple = (None, None)
 
-    ``bounds`` are the cumulative rates of the live classes and ``total``
-    their sum; searching only the inner bounds maps every mark, even one
-    that rounds up to the total, onto a live class. ``u`` is overwritten
-    with the marks ``u * total``.
 
-    A guide table of M cells, M a power of two about 8 per live class (at
-    most 2**16 and at most the arrival count), holds for cell k the number
-    of inner bounds at or below its edge fl((k / M) * total). u * M and
-    k / M are exact, and rounding is monotone, so an arrival with
-    floor(u * M) = k has a mark fl(u * total) at or above its cell's edge:
-    the guide entry counts only bounds at or below the mark, and is the
-    answer unless the next bound is at or below the mark too. Only those
-    arrivals, about one in twenty at the reference load, are bisected again.
+def _workload_tables(clusters: tuple[ClusterSpec, ...]) -> tuple:
+    """The per-workload constants of a stream: ``(live, total, inner, guide, means)``.
+
+    - ``live``: the ids of the classes with a rate > 0, or None when every
+      class is live;
+    - ``total``: the last of ``bounds``, the cumulative rates of the live
+      classes (0.0 with none);
+    - ``inner``: the inner bounds ``bounds[:-1]``, then inf;
+    - ``guide``: for each cell k of M equal cells of [0, 1), the number of
+      inner bounds at or below fl((k / M) * total). M is a power of two,
+      about 8 per live class and at most 2**16; any power of two makes the
+      marks exact (see ``_class_marks``);
+    - ``means``: the holding means of the live classes.
+
+    The tables are memoised on the identity of ``clusters``, which
+    ``replace(spec, seed=...)`` keeps, so every replication of a sweep point
+    reuses them; hashing the tuple's value would cost as much as they save.
+    The memo holds the tuple itself, so no later tuple can take its id
+    while it is the key. The arrays are read-only, since every caller
+    shares them.
     """
+    global _tables_memo
+    key, tables = _tables_memo
+    if key is clusters:
+        return tables
+    rates = np.array([c.request_rate + c.interactive_rate for c in clusters])
+    live = np.flatnonzero(rates > 0)
+    bounds = np.cumsum(rates[live])
+    total = float(bounds[-1]) if len(live) else 0.0
     inner = np.append(bounds[:-1], np.inf)
-    cells = 1 << min(16, (8 * len(inner) - 1).bit_length(), max(len(u), 1).bit_length() - 1)
+    cells = 1 << min(16, (8 * len(inner) - 1).bit_length())
     guide = np.searchsorted(inner, np.arange(cells) / cells * total, "right")
-    index = guide[(u * cells).astype(np.intp)]
+    means = np.array([c.mean_holding for c in clusters])[live]
+    for table in (live, inner, guide, means):
+        table.flags.writeable = False
+    tables = (None if len(live) == len(clusters) else live, total, inner, guide, means)
+    _tables_memo = (clusters, tables)
+    return tables
+
+
+def _class_marks(
+    u: np.ndarray, inner: np.ndarray, guide: np.ndarray, total: float
+) -> np.ndarray:
+    """``searchsorted(inner, u * total, "right")``, bit for bit.
+
+    ``inner`` and ``guide`` come from ``_workload_tables``: searching only
+    the inner bounds maps every mark, even one that rounds up to the total,
+    onto a live class. ``u`` is overwritten with the marks ``u * total``.
+
+    With M = len(guide), a power of two, u * M and k / M are exact, and
+    rounding is monotone, so an arrival with floor(u * M) = k has a mark
+    fl(u * total) at or above its cell's edge fl((k / M) * total): the
+    guide entry counts only bounds at or below the mark, and is the answer
+    unless the next bound is at or below the mark too. Only those arrivals,
+    about one in twenty at the reference load, are bisected again.
+    """
+    index = guide[(u * len(guide)).astype(np.intp)]
     u *= total
     recheck = np.flatnonzero(inner[index] <= u)
     index[recheck] = np.searchsorted(inner, u[recheck], "right")
@@ -241,24 +287,27 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    rates = np.array([c.request_rate + c.interactive_rate for c in spec.clusters])
-    live = np.flatnonzero(rates > 0)
-    bounds = np.cumsum(rates[live])
-    total = float(bounds[-1]) if len(live) else 0.0
+    live, total, inner, guide, means = _workload_tables(spec.clusters)
     rng = np.random.default_rng(np.random.SeedSequence([_ARRIVAL_TAG, spec.seed]))
     n = int(rng.poisson(total * horizon))
-    sums = np.cumsum(rng.standard_exponential(n + 1))
-    # x = sums[k] / sums[n] < 1 gives horizon * x < horizon for a normal
-    # horizon. But sums[n - 1] rounds to sums[n] when the last spacing is
-    # below half an ulp of the sum (x = 1), and a subnormal horizon can round
-    # horizon * x up to itself: the clip to the largest double below the
-    # horizon keeps every time in [0, horizon). The arithmetic runs in place
-    # in the buffer of the sums, with the same operations in the same order.
+    # Three n-length buffers hold the stream: the exponentials become the
+    # sums and then the times, the uniforms become the marks u * total and
+    # then the holds, and the class ids are the guide's lookup (gathered
+    # through ``live`` when some class has rate 0).
+    sums = rng.standard_exponential(n + 1)
+    np.cumsum(sums, out=sums)
     times = sums[:n]
     times /= sums[n]
     times *= horizon
-    np.minimum(times, np.nextafter(horizon, 0.0), out=times)
-    classes = live[_class_marks(rng.random(n), bounds, total)]
-    holds = rng.standard_exponential(n)
-    holds *= np.array([c.mean_holding for c in spec.clusters])[classes]
-    return ArrivalStream(times, holds, classes)
+    # x = sums[k] / sums[n] < 1 gives horizon * x < horizon for a normal
+    # horizon. But sums[n - 1] rounds to sums[n] when the last spacing is
+    # below half an ulp of the sum (x = 1), and a subnormal horizon can round
+    # horizon * x up to itself: the times at or past the horizon, a suffix
+    # since they ascend, are clipped to the largest double below it.
+    if n and times[-1] >= horizon:
+        times[times.searchsorted(horizon):] = np.nextafter(horizon, 0.0)
+    u = rng.random(n)
+    index = _class_marks(u, inner, guide, total)
+    holds = rng.standard_exponential(n, out=u)
+    holds *= means[index]
+    return ArrivalStream(times, holds, index if live is None else live[index])

@@ -342,6 +342,23 @@ class TestMainCli:
         assert "configuration error: cannot write CSV" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("target", ["missing-parent", "directory"])
+    def test_unwritable_out_refused_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, target
+    ):
+        def never(config):
+            raise AssertionError("simulated before checking --out")
+
+        monkeypatch.setattr(vodsim.cli, "run_sweep", never)
+        monkeypatch.setattr(vodsim.cli, "run_scenario", never)
+        out = tmp_path / "missing" / "x.csv" if target == "missing-parent" else tmp_path
+        code = main([command, "--config", self.write_config(tmp_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "configuration error: cannot write CSV" in captured.err
+
     @pytest.mark.parametrize(
         "text",
         [

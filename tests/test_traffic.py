@@ -1,9 +1,11 @@
 """Tests for workload construction and Poisson stream generation."""
 
+import gc
 import hashlib
 import math
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from vodsim.traffic import (
     ClusterSpec,
     WorkloadSpec,
     _class_marks,
+    _workload_tables,
     build_workload,
     merged_arrival_stream,
     scale_workload,
@@ -415,16 +418,34 @@ def test_stream_golden_digest(case):
     assert h.hexdigest() == digest
 
 
-def replayed_marks(spec, horizon):
-    """The class marks, drawn again from the stream's generator by bisection."""
+def replayed_stream(spec, horizon):
+    """(time, hold, class_id) by the documented recipe, from a fresh
+    generator, with no table, guide or buffer reuse: the times clipped by
+    ``np.minimum``, the marks found by bisecting every one."""
     rates = np.array([c.request_rate + c.interactive_rate for c in spec.clusters])
     live = np.flatnonzero(rates > 0)
     bounds = np.cumsum(rates[live])
     total = float(bounds[-1]) if len(live) else 0.0
     rng = np.random.default_rng(np.random.SeedSequence([_ARRIVAL_TAG, spec.seed]))
     n = int(rng.poisson(total * horizon))
-    rng.standard_exponential(n + 1)
-    return live[np.searchsorted(bounds[:-1], rng.random(n) * total, "right")]
+    sums = np.cumsum(rng.standard_exponential(n + 1))
+    time = np.minimum(sums[:n] / sums[n] * horizon, np.nextafter(horizon, 0.0))
+    class_id = live[np.searchsorted(bounds[:-1], rng.random(n) * total, "right")]
+    means = np.array([c.mean_holding for c in spec.clusters])
+    hold = rng.standard_exponential(n) * means[class_id]
+    return time, hold, class_id
+
+
+def replayed_marks(spec, horizon):
+    """The class marks, drawn again from the stream's generator by bisection."""
+    return replayed_stream(spec, horizon)[2]
+
+
+def assert_replayed(stream, spec, horizon):
+    """The stream equals its replay bit for bit, dtypes included."""
+    for got, want in zip((stream.time, stream.hold, stream.class_id), replayed_stream(spec, horizon)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # zeros, rates whose bound rounds onto the one before (1e-17 beside 1.0),
@@ -465,6 +486,139 @@ def test_guide_table_equals_a_bisection_of_any_uniforms(rates, u):
     total = float(bounds[-1]) if len(live) else 0.0
     u = np.array(u, np.float64)
     expected = np.searchsorted(bounds[:-1], u * total, "right")
+    _, table_total, inner, guide, _ = _workload_tables(rate_workload(rates, 0).clusters)
+    assert table_total == total
     marks = u.copy()
-    assert _class_marks(marks, bounds, total).tolist() == expected.tolist()
+    assert _class_marks(marks, inner, guide, table_total).tolist() == expected.tolist()
     assert marks.tolist() == (u * total).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(MARK_RATES), min_size=1, max_size=12),
+    st.integers(0, 3_000),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([None, 2e-308, 1e-308, 1e-310, 5e-324]),
+)
+@example([1.0, 0.0, 1e-17, 7.0], 3_000, 3, None)
+@example([7.0] * 12, 5, 4, 2e-308)
+@example([2.5, 0.0, 5e-324], 3, 5, 5e-324)
+def test_whole_stream_equals_its_recipe_replayed(rates, expected, seed, subnormal):
+    if subnormal is None:
+        spec = rate_workload(rates, seed)
+        total = sum(rates)
+        horizon = min(expected / total, 1e308) if total > 0 and expected else 1.0
+    else:
+        # rates near the largest double, so a subnormal horizon sees a few
+        # arrivals whose times carry few significant bits
+        spec = rate_workload([r * 2e306 for r in rates], seed)
+        horizon = subnormal
+    assert_replayed(merged_arrival_stream(spec, horizon), spec, horizon)
+
+
+_default_rng = np.random.default_rng
+
+
+class _TiedSums:
+    """A generator whose first exponentials end in spacings far below an ulp
+    of their sum, so the last times round to the horizon and are clipped."""
+
+    def __init__(self, seed_sequence, tail):
+        self._rng = _default_rng(seed_sequence)
+        self._tail = tail
+        self.poisson = self._rng.poisson
+        self.random = self._rng.random
+
+    def standard_exponential(self, size, out=None):
+        if self._tail is None:
+            return self._rng.standard_exponential(size, out=out)
+        draws = self._rng.standard_exponential(size)
+        draws[size - len(self._tail):] = self._tail[-size:]
+        self._tail = None
+        return draws
+
+
+@pytest.mark.parametrize("tail", [(1e-300,), (1e-300,) * 3, (0.0,) * 40])
+def test_times_rounding_to_the_horizon_are_clipped_as_np_minimum_clips(monkeypatch, tail):
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: _TiedSums(seq, tail))
+    spec, horizon = rate_workload((3.0, 0.0, 5.0), 6), 10.0
+    stream = merged_arrival_stream(spec, horizon)
+    assert len(stream) > len(tail)
+    clipped = np.nextafter(horizon, 0.0)
+    # the last len(tail) partial sums equal the whole sum: their times are 1 * horizon
+    assert stream.time[-len(tail):].tolist() == [clipped] * len(tail)
+    assert stream.time[-len(tail) - 1] < clipped
+    assert_replayed(stream, spec, horizon)
+
+
+def stream_bytes(stream):
+    return stream.time.tobytes(), stream.hold.tobytes(), stream.class_id.tobytes()
+
+
+class TestWorkloadTables:
+    """The per-workload stream tables are memoised on the identity of the
+    clusters tuple; no memo state may change a stream."""
+
+    def test_replications_share_the_tables(self):
+        spec = reference_point(1.0, 7)
+        tables = _workload_tables(spec.clusters)
+        assert _workload_tables(replace(spec, seed=8).clusters) is tables
+
+    def test_alternating_workloads_give_their_own_streams(self):
+        a = reference_point(1.0, 7)
+        b = rate_workload((0.0, 3.0, 5.0), 7)
+        for spec in (a, b, a, replace(b, seed=8), replace(a, seed=9), b):
+            assert_replayed(merged_arrival_stream(spec, 50.0), spec, 50.0)
+
+    def test_equal_but_distinct_cluster_tuples(self):
+        a = rate_workload((1.0, 0.0, 2.5), 3)
+        b = rate_workload((1.0, 0.0, 2.5), 3)
+        assert a.clusters == b.clusters and a.clusters is not b.clusters
+        for spec in (a, b, a):
+            assert_replayed(merged_arrival_stream(spec, 100.0), spec, 100.0)
+        assert stream_bytes(merged_arrival_stream(a, 100.0)) == stream_bytes(
+            merged_arrival_stream(b, 100.0)
+        )
+
+    def test_tuple_built_after_the_previous_one_was_collected(self):
+        # Each tuple is dropped before the next of its size is built, which
+        # may then take its id; the live class moves, so a new tuple given
+        # the old tuple's tables would mark the wrong class.
+        for k in range(12):
+            rates = [0.0, 0.0, 0.0]
+            rates[k % 3] = 5.0
+            c0, c1, c2 = (ClusterSpec(c, r, r, 1.5) for c, r in enumerate(rates))
+            stream = merged_arrival_stream(WorkloadSpec((c0, c1, c2), 1.0, 1.0, 2.0, k), 100.0)
+            assert set(stream.class_id.tolist()) == {k % 3}
+            del c0, c1, c2, stream
+            gc.collect()
+
+    def test_tables_are_read_only(self):
+        tables = _workload_tables(rate_workload((1.0, 0.0, 2.0), 0).clusters)
+        live, _, inner, guide, means = tables
+        for table in (live, inner, guide, means):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_two_threads_give_the_serial_streams(self):
+        workloads = (
+            reference_point(1.0, 0),
+            rate_workload((0.0, 3.0, 5.0), 0),
+            rate_workload((2.0, 1e-17, 0.0, 7.0), 0),
+        )
+        # pairs of one workload, so that the two threads often ask for the
+        # same tables at once, and for others' just after
+        specs = [
+            replace(w, seed=seed) for pair in range(0, 40, 2)
+            for w in workloads for seed in (pair, pair + 1)
+        ]
+        serial = [stream_bytes(merged_arrival_stream(spec, 30.0)) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(merged_arrival_stream, spec, 30.0) for spec in specs]
+                threaded = [stream_bytes(f.result(timeout=60)) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial

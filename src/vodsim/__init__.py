@@ -9,7 +9,6 @@ from .analytic import (
     chain_blocking,
     erlang_b,
     erlang_b_direct,
-    erlang_k_pdf,
     free_port_selection_prob,
     policy_admission_prob,
     pooled_blocking,

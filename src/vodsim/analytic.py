@@ -156,26 +156,3 @@ def policy_admission_prob(weight: float, base: float) -> float:
         if not math.isfinite(value) or not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
     return _checked_probability(weight * base, "policy_admission_prob")
-
-
-def erlang_k_pdf(k: int, rate: float, t: float) -> float:
-    """Density of the sum of k iid exponential(rate) variables at time t.
-
-    f(t) = rate^k * t^(k-1) * exp(-rate * t) / (k-1)!
-
-    This is the distribution followed by the time until the k-th arrival of
-    a Poisson stream, used to validate generated traffic.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"shape k must be a positive integer, got {k!r}")
-    if not math.isfinite(rate) or rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return rate if k == 1 else 0.0
-    log_f = k * math.log(rate) + (k - 1) * math.log(t) - rate * t - math.lgamma(k)
-    f = math.exp(log_f)
-    if not math.isfinite(f) or f < 0:
-        raise InternalConsistencyError(f"erlang_k_pdf produced {f}")
-    return f

@@ -48,7 +48,7 @@ def _replications(
     capacities = config.capacities()
     runs: list[list[RunMetrics]] = [[] for _ in strategies]
     for seed in range(first, first + config.replications):
-        stream = merged_arrival_stream(replace(workload, seed=seed), config.horizon)
+        stream = merged_arrival_stream(workload.with_seed(seed), config.horizon)
         for out, (_, strategy) in zip(runs, strategies):
             out.append(
                 run(

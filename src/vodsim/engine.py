@@ -9,49 +9,25 @@ Admission depends only on the number of free ports among the N = sum of
 C_j ports of all partitions: a request that passes the gate is blocked
 exactly when all N are busy. Which partition's port it takes changes no
 count, so the engine keeps no home partition and no probe order, and no
-metric, CSV column or CLI output ever depended on them. The server is a
-heap of the end times of at most N sessions; an ended session leaves it
-only when a new one takes its port. While the heap holds fewer than N
-sessions a port is surely free. Once it holds N, a port is free at time t
-exactly when the earliest end is at or before t (a port freed "now" is
-available to an arrival "now"), and every arrival before that end is
-blocked. So the next admitted arrival is the first at or after the earliest
-end, found by one bisection, and the loop takes one step per admitted
-arrival, not per arrival. From ``_ROUNDS_MIN_PORTS`` ports up (the
-reference server has 300), the engine instead advances every port by one
-session per numpy step: each port holds a free index, the first arrival at
-or after its session's end, and in one round every port takes the first
-arrival at or after its free index that no port has taken yet, in the
-order of the free indices. The admitted set is the unique one in which an
-arrival is admitted exactly when fewer than N earlier admitted sessions
-are in progress at its time, and claims made in any such order give it,
-so the rounds admit what the heap loop admits, in about admitted / N
-rounds rather than one Python step per admitted arrival. Below that port
-count the rounds are too many and the heap loop is faster: measured, they
-break even at about 65 ports under saturated load and about 125 just past
-the knee, and the constant is 128. Until the first arrival that finds
-all N ports busy, no arrival is blocked, so that prefix is admitted in
-numpy and the loop or the rounds start after it. That arrival is looked
-for in one pass over a stream of fewer than 4(2N + 1) arrivals, and in a
-longer stream in passes over leading windows of 2N + 1, 4N + 2, ...
-arrivals, a window that would leave fewer arrivals after it than it holds
-taking the whole stream. Either way the passes cover fewer than 4(2p + 1)
-arrivals, p >= N the index of that arrival, or the stream length when no
-arrival fills the ports.
+metric, CSV column or CLI output ever depended on them. Until the first
+arrival that finds all N ports busy, no arrival is blocked, so that
+prefix is admitted in numpy (``_admission``). From there, below
+``_ROUNDS_MIN_PORTS`` ports, a heap of the end times of at most N
+sessions takes one Python step per admitted arrival
+(``_pooled_admission``); from it up (the reference server has 300), every
+port moves on by one session per numpy round (``_admission_rounds``,
+which shows why both admit the same arrivals).
 
 A run counts the arrivals after the warmup per class with ``bincount``:
 all of them (offered), those that passed the gate (policy mode only) and
 those admitted. Each is a subset of the one before, so policed and blocked
 are differences of these counts, conservation holds by arithmetic, and the
-per-class records are built unchecked after one vectorised check that
-every count is >= 0.
+records are built unchecked after one check that every count is >= 0.
 
 The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
 runs several strategies at one seed builds it once and passes it to each
-run, so every strategy sees the same arrivals. A stream passed in is
-checked first: arrays of one length, integer class ids of the workload,
-ascending times in [0, horizon) and holds >= 0. Policy gate uniforms,
-one per arrival in arrival order, come in one call from the run's own
+run, so every strategy sees the same arrivals. Policy gate uniforms, one
+per arrival in arrival order, come in one call from the run's own
 generator, seeded from the run seed under the gate tag.
 
 A run is strictly single-threaded and a pure function of its arguments;
@@ -61,7 +37,7 @@ independent runs share no state and may execute concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from typing import Sequence
 
@@ -138,14 +114,7 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
     cost is bounded by the prefix, not by the stream. From there, with the
     prefix's sessions still in progress, ``_admission_rounds`` takes over on
     ``_ROUNDS_MIN_PORTS`` ports or more, and ``_pooled_admission`` over
-    memoryviews of the rest of the arrays (no copy) on fewer. Both give the
-    one admitted set, in which an arrival is admitted exactly when fewer
-    than ``ports`` earlier admitted sessions are in progress at its time:
-    the rounds claim arrivals in another order than the loop, and any such
-    order reaches that set. They differ only in speed, about
-    admitted / ports numpy rounds against one Python step per admitted
-    arrival, and break even at about 65 (saturated) to 125 (just past the
-    knee) ports, below ``_ROUNDS_MIN_PORTS`` = 128.
+    memoryviews of the rest of the arrays (no copy) on fewer.
     """
     n = len(times)
     w = 2 * ports + 1
@@ -203,13 +172,15 @@ def _admission_rounds(
     decreases, so taken arrivals below the least one are dropped, which
     shifts every rank by the same amount.
 
-    The result is exact in any order of claims: every taken arrival finds
+    The rounds claim arrivals in another order than the heap loop, and
+    the result is exact in any order of claims: every taken arrival finds
     its port's earlier session ended and at most one session on each other
     port, so fewer than ``ports`` earlier sessions in progress; every
     untaken one finds each port busy with an earlier session (a port free
     at it would have taken it, or an arrival before it). That is the rule
     "admitted iff fewer than ``ports`` earlier admitted sessions are in
-    progress at its time", which has one solution, the heap loop's.
+    progress at its time", which has one solution, the heap loop's. The
+    rounds take about admitted / ports numpy steps.
     """
     if len(ends) > ports:
         raise InternalConsistencyError(f"{len(ends)} sessions in progress on {ports} ports")
@@ -327,17 +298,21 @@ def run(
     """Simulate the workload against the partitioned server, return counters.
 
     The seed drives everything. The arrival stream is
-    ``merged_arrival_stream(replace(workload, seed=seed), horizon)``: pass
-    it as ``stream`` to share one stream among the strategies run at this
+    ``merged_arrival_stream(workload.with_seed(seed), horizon)``: pass it
+    as ``stream`` to share one stream among the strategies run at this
     seed, or leave ``stream`` out and the run builds it. Policy gate
     uniforms, one per arrival in arrival order, are drawn from
     ``default_rng(SeedSequence([_GATE_TAG, seed]))``, a generator apart
     from the stream's, so uncontrolled and policy runs at the same seed see
-    the same arrivals. A passed ``stream`` whose arrays differ in length,
-    whose class ids are not integers in [0, number of clusters), whose
-    times are not ascending or not in [0, horizon) or whose holds are not
-    >= 0 raises :class:`ConfigurationError`. Counters only include requests
-    arriving at or after warmup; earlier requests still evolve the state.
+    the same arrivals. A ``stream`` built by the caller is checked: one
+    whose arrays differ in length, whose class ids are not integers in
+    [0, number of clusters), whose times are not ascending or not in
+    [0, horizon) or whose holds are not >= 0 raises
+    :class:`ConfigurationError`. A stream that ``merged_arrival_stream``
+    drew for a workload of as many clusters and for this horizon is not
+    checked again; its arrays are read-only, so it is still as drawn.
+    Counters only include requests arriving at or after warmup; earlier
+    requests still evolve the state.
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
@@ -354,8 +329,8 @@ def run(
 
     num_classes = len(workload.clusters)
     if stream is None:
-        stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
-    else:
+        stream = merged_arrival_stream(workload.with_seed(seed), horizon)
+    elif stream._drawn_for != (num_classes, horizon):
         _check_stream(stream, num_classes, horizon)
     # float64 in native order, contiguous: the numpy prefix sums ends in the
     # same precision as the loop, and the loop's memoryviews can index them
@@ -364,24 +339,23 @@ def run(
     classes = stream.class_id.astype(np.intp, copy=False)  # bincount's index type
     # times are sorted, so the counted arrivals (at or after warmup) are a suffix
     first = int(times.searchsorted(warmup))
-    offered = np.bincount(classes[first:], minlength=num_classes)
+    offered = np.bincount(classes[first:], minlength=num_classes).tolist()
     entered = offered
     if strategy.mode == POLICY:
         gate_rng = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed]))
         passed = gate_rng.random(len(stream)) < np.array(strategy.gates)[classes]
         times, holds, classes = times[passed], holds[passed], classes[passed]
         first = int(times.searchsorted(warmup))
-        entered = np.bincount(classes[first:], minlength=num_classes)
+        entered = np.bincount(classes[first:], minlength=num_classes).tolist()
     admitted = _admission(times, holds, sum(capacities))
-    admits = np.bincount(classes[first:][admitted[first:]], minlength=num_classes)
+    admits = np.bincount(classes[first:][admitted[first:]], minlength=num_classes).tolist()
     # each count is of a subset of the arrivals of the one before, so every
     # column is >= 0, and offered = admitted + policed + blocked by arithmetic
-    counts = np.stack((offered, admits, offered - entered, entered - admits))
-    if (counts < 0).any():
-        raise InternalConsistencyError(f"negative per-class counts {counts.T.tolist()}")
-    totals = counts.sum(axis=1).tolist()
-    return RunMetrics(
-        *totals,
-        per_class=tuple(map(ClassCounts._make, counts.T.tolist())),
-        seed=seed,
+    policed = [o - e for o, e in zip(offered, entered)]
+    blocked = [e - a for e, a in zip(entered, admits)]
+    per_class = tuple(map(ClassCounts._make, zip(offered, admits, policed, blocked)))
+    if min(policed, default=0) < 0 or min(blocked, default=0) < 0:
+        raise InternalConsistencyError(f"negative per-class counts {per_class}")
+    return RunMetrics._make(
+        (sum(offered), sum(admits), sum(policed), sum(blocked), per_class, seed)
     )

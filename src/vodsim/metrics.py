@@ -73,7 +73,12 @@ class ClassCounts(namedtuple("ClassCounts", _COUNTS)):
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Counters from one simulation run, totals plus a per-class breakdown."""
+    """Counters from one simulation run, totals plus a per-class breakdown.
+
+    Calling the class checks the counts; ``RunMetrics._make``, which takes
+    the fields in order as ``ClassCounts._make`` does, does not, and is for
+    a caller that has already checked them, as ``engine.run`` does.
+    """
 
     offered: int
     admitted: int
@@ -97,6 +102,12 @@ class RunMetrics:
                         raise ValueError(
                             f"per-class {name} sums to {total}, totals say {expected}"
                         )
+
+    @classmethod
+    def _make(cls, values) -> RunMetrics:
+        m = object.__new__(cls)
+        m.__dict__.update(zip((*_COUNTS, "per_class", "seed"), values))
+        return m
 
 
 def blocking_probability(m, scope: str = "server") -> float:

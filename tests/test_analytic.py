@@ -1,10 +1,6 @@
 """Unit and property tests for the closed-form probability functions."""
 
-import math
-
 import pytest
-import scipy.integrate
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +8,6 @@ from vodsim.analytic import (
     chain_blocking,
     erlang_b,
     erlang_b_direct,
-    erlang_k_pdf,
     free_port_selection_prob,
     policy_admission_prob,
     pooled_blocking,
@@ -245,47 +240,6 @@ class TestPolicyAdmission:
     )
     def test_never_exceeds_either_factor(self, w, b):
         assert policy_admission_prob(w, b) <= min(w, b)
-
-
-class TestErlangKPdf:
-    def test_k1_reduces_to_exponential(self):
-        for lam in (0.5, 1.0, 3.0):
-            for t in (0.0, 0.2, 1.0, 4.0):
-                assert erlang_k_pdf(1, lam, t) == pytest.approx(
-                    lam * math.exp(-lam * t), rel=1e-12
-                )
-
-    def test_density_vanishes_at_origin_for_k2(self):
-        assert erlang_k_pdf(2, 1.0, 0.0) == 0.0
-
-    def test_k2_unit_rate_at_one(self):
-        assert erlang_k_pdf(2, 1.0, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            erlang_k_pdf(2, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            erlang_k_pdf(2, -1.0, 1.0)
-
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
-    def test_integrates_to_one(self, k, rate):
-        # composite quadrature over [0, 50/rate]; the tail beyond is < 1e-16
-        import numpy as np
-
-        t = np.linspace(0.0, 50.0 / rate, 20001)
-        f = [erlang_k_pdf(k, rate, float(x)) for x in t]
-        total = scipy.integrate.simpson(f, x=t)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    @pytest.mark.parametrize("k", [1, 2, 5, 9])
-    def test_matches_scipy_gamma_pdf(self, k):
-        rate = 1.7
-        dist = scipy.stats.gamma(a=k, scale=1.0 / rate)
-        for t in (0.01, 0.4, 1.3, 5.0, 12.0):
-            assert erlang_k_pdf(k, rate, t) == pytest.approx(
-                float(dist.pdf(t)), rel=1e-10
-            )
 
 
 @settings(max_examples=30)

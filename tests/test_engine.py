@@ -567,6 +567,66 @@ def test_caller_stream_is_checked(time, hold, class_id, match):
             run(w, [1], strategy, 10.0, 5.0, 0, stream=stream)
 
 
+def test_drawn_stream_arrays_are_read_only():
+    s = merged_arrival_stream(make_workload(2.0, 1.0, num_clusters=3, seed=4), 100.0)
+    for array in (s.time, s.hold, s.class_id):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 1
+
+
+def _reversed_times(s):
+    return ArrivalStream(s.time[::-1], s.hold, s.class_id)
+
+
+def _one_class_id_minus_one(s):
+    class_id = s.class_id.copy()
+    class_id[len(class_id) // 2] = -1
+    return ArrivalStream(s.time, s.hold, class_id)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_reversed_times, "ascending"),
+        (_one_class_id_minus_one, r"class ids must lie in \[0, 2\), got -1 to 1"),
+    ],
+    ids=["reversed_times", "class_id_minus_one"],
+)
+def test_stream_rebuilt_from_drawn_arrays_is_checked(edit, match):
+    # run skips the check only for a stream that merged_arrival_stream drew
+    # for this workload and horizon, not for one a caller built from its arrays
+    w = make_workload(2.0, 1.0, num_clusters=2)
+    stream = edit(merged_arrival_stream(replace(w, seed=5), 100.0))
+    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0, 0.5))):
+        with pytest.raises(ConfigurationError, match=match):
+            run(w, [3], strategy, 100.0, 10.0, 5, stream=stream)
+
+
+def test_drawn_stream_run_for_another_workload_or_horizon_is_checked():
+    wide = make_workload(2.0, 1.0, num_clusters=3)
+    s = merged_arrival_stream(replace(wide, seed=5), 100.0)
+    assert s.class_id.max() == 2
+    narrow = make_workload(2.0, 1.0, num_clusters=2)
+    with pytest.raises(ConfigurationError, match=r"class ids must lie in \[0, 2\)"):
+        run(narrow, [3], UNCONTROLLED_STRATEGY, 100.0, 10.0, 5, stream=s)
+    with pytest.raises(ConfigurationError, match=r"times must lie in \[0, 50.0\)"):
+        run(wide, [3], UNCONTROLLED_STRATEGY, 50.0, 10.0, 5, stream=s)
+
+
+@pytest.mark.parametrize("ports", [3, _ROUNDS_MIN_PORTS])
+def test_drawn_stream_runs_as_its_checked_copy(ports):
+    w = make_workload(2.0 * ports / 3, 1.5, num_clusters=3)
+    s = merged_arrival_stream(replace(w, seed=9), 200.0)
+    copy = ArrivalStream(s.time.copy(), s.hold.copy(), s.class_id.copy())
+    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0, 0.5, 0.2))):
+        m = run(w, [ports], strategy, 200.0, 20.0, 9, stream=s)
+        assert m.blocked > 0
+        assert run(w, [ports], strategy, 200.0, 20.0, 9, stream=copy) == m
+        assert run(w, [ports], strategy, 200.0, 20.0, 9) == m
+
+
 def test_narrow_class_ids_count_like_intp():
     # 60 classes, counted by bincount over ids of any integer type
     w = make_workload(2.0, 1.0, num_clusters=60)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_engine import SessionRequest
+from vodsim.config import POINT_SEED_STRIDE, parse_config
 from vodsim.traffic import (
     _ARRIVAL_TAG,
     ClusterSpec,
@@ -263,6 +264,24 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError, match="class ids"):
             WorkloadSpec((shifted,), 1.0, 1.0, 2.0, 0)
 
+    @pytest.mark.parametrize("seed", [0, 8, 2**64 - 1])
+    def test_with_seed_equals_replace(self, seed):
+        spec = reference_point(2.5, 7)
+        reseeded = spec.with_seed(seed)
+        assert type(reseeded) is WorkloadSpec
+        assert reseeded == replace(spec, seed=seed)
+        assert reseeded.clusters is spec.clusters
+        assert spec.seed == 7
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_with_seed_rejects_what_replace_rejects(self, seed):
+        spec = reference_point(1.0, 7)
+        with pytest.raises(ValueError) as expected:
+            replace(spec, seed=seed)
+        with pytest.raises(ValueError) as got:
+            spec.with_seed(seed)
+        assert str(got.value) == str(expected.value)
+
     def test_seed_range_enforced(self):
         with pytest.raises(ValueError, match="seed"):
             WorkloadSpec((), 1.0, 1.0, 2.0, -1)
@@ -325,30 +344,6 @@ def test_erlang_sum_of_k_interarrivals_smoke():
     usable = (len(gaps) // k) * k
     sums = gaps[:usable].reshape(-1, k).sum(axis=1)
     result = scipy.stats.kstest(sums, scipy.stats.gamma(a=k, scale=1 / 2.0).cdf)
-    assert result.pvalue > 0.01
-
-
-def test_interarrival_sums_match_packages_own_density():
-    """Same check, but against a CDF integrated from this package's density.
-
-    Ties the generator to the analytic module directly instead of going
-    through an external distribution.
-    """
-    from scipy.integrate import cumulative_trapezoid
-
-    from vodsim.analytic import erlang_k_pdf
-
-    rate, k = 2.0, 5
-    spec = single_cluster_workload(rate, 1.0, seed=21)
-    stream = merged_arrival_stream(spec, 3_000.0)
-    gaps = np.diff(stream.time, prepend=0.0)
-    usable = (len(gaps) // k) * k
-    sums = gaps[:usable].reshape(-1, k).sum(axis=1)
-
-    grid = np.linspace(0.0, 30.0 / rate, 6001)  # tail mass beyond is ~1e-9
-    pdf = np.array([erlang_k_pdf(k, rate, float(t)) for t in grid])
-    cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
-    result = scipy.stats.kstest(sums, lambda x: np.interp(x, grid, cdf))
     assert result.pvalue > 0.01
 
 
@@ -486,7 +481,37 @@ def test_guide_table_equals_a_bisection_of_any_uniforms(rates, u):
     assert table_total == total
     marks = u.copy()
     assert _class_marks(marks, inner, guide, table_total).tolist() == expected.tolist()
-    assert marks.tolist() == (u * total).tolist()
+    assert marks.tolist() == u.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(MARK_RATES), min_size=1, max_size=12))
+@example([1.0, 2.0])
+@example([1.0, 1e-17, 1e-17, 0.0, 2.5])
+@example([7.0, 1e-17] * 6)
+def test_guide_marks_exactly_the_cells_a_bound_crosses(rates):
+    live, total, inner, guide, _ = _workload_tables(rate_workload(rates, 0).clusters)
+    count = len(inner)  # the live classes, or 1 with none
+    cells = len(guide)
+    assert cells & (cells - 1) == 0 and (cells == 2**16 or 64 * count <= cells < 128 * count)
+    edges = np.arange(cells + 1) / cells * total
+    bounds = inner[:-1, None]
+    # a bound above a cell's lower edge mark and at or below its upper one
+    crossed = ((edges[:-1] < bounds) & (bounds <= edges[1:])).any(axis=0)
+    assert (guide < 0).tolist() == crossed.tolist()
+    assert (guide < 0).sum() <= count - 1
+    assert guide[~crossed].tolist() == (edges[:-1, None] >= bounds.T).sum(axis=1)[~crossed].tolist()
+
+
+@pytest.mark.parametrize("point", range(30))
+def test_reference_point_marks_equal_a_bisection_of_every_mark(point):
+    # the first replication's stream of each reference load point
+    config = parse_config("")
+    base = config.workload()
+    spec = scale_workload(base, base.clusters[point].traffic_rate / config.min_rate)
+    spec = spec.with_seed(config.seed + point * POINT_SEED_STRIDE)
+    stream = merged_arrival_stream(spec, config.horizon)
+    assert stream.class_id.tolist() == replayed_stream(spec, config.horizon)[2].tolist()
 
 
 @settings(max_examples=300, deadline=None)

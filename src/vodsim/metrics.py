@@ -75,9 +75,9 @@ class ClassCounts(namedtuple("ClassCounts", _COUNTS)):
 class RunMetrics:
     """Counters from one simulation run, totals plus a per-class breakdown.
 
-    Calling the class checks the counts; ``RunMetrics._make``, which takes
-    the fields in order as ``ClassCounts._make`` does, does not, and is for
-    a caller that has already checked them, as ``engine.run`` does.
+    Calling the class checks the counts. ``RunMetrics._make(fields)``, like
+    ``ClassCounts._make``, does not: it is for a caller that has already
+    checked them, as ``engine.run`` has.
     """
 
     offered: int

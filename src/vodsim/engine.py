@@ -11,7 +11,8 @@ exactly when all N are busy. Which partition's port it takes changes no
 count, so the engine keeps no home partition and no probe order, and no
 metric, CSV column or CLI output ever depended on them. Until the first
 arrival that finds all N ports busy, no arrival is blocked, so that
-prefix is admitted in numpy (``_admission``). From there, below
+prefix is admitted in numpy (``_admission``, which finds that arrival as
+an order statistic of the sorted session ends). From there, below
 ``_ROUNDS_MIN_PORTS`` ports, a heap of the end times of at most N
 sessions takes one Python step per admitted arrival
 (``_pooled_admission``); from it up (the reference server has 300), every
@@ -20,9 +21,11 @@ which shows why both admit the same arrivals).
 
 A run counts the arrivals after the warmup per class with ``bincount``:
 all of them (offered), those that passed the gate (policy mode only) and
-those admitted. Each is a subset of the one before, so policed and blocked
-are differences of these counts, conservation holds by arithmetic, and the
-records are built unchecked after one check that every count is >= 0.
+those admitted (the gate-passed ones, with no flags built, when no arrival
+finds all ports busy). Each is a subset of the one before, so policed and
+blocked are differences of these counts, conservation holds by
+arithmetic, and the records are built unchecked after one check that
+every count is >= 0.
 
 The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
 runs several strategies at one seed builds it once and passes it to each
@@ -91,30 +94,33 @@ _WINDOW = 64
 _ROUNDS_MIN_PORTS = 128
 
 
-def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
-    """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
+def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray | None:
+    """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports,
+    or None, and no flags built, when no arrival finds all ports busy.
 
     ``times`` and ``holds`` are contiguous float64 arrays. While every
     earlier arrival is admitted, arrival i finds at most
     busy_i = #{j < i : times[j] + holds[j] >= times[i]} ports busy (a session
     ending exactly at times[i] has in fact left, so a tie can end this
     prefix early but never late). Every arrival before the first
-    busy_i >= ports is therefore admitted. busy_i does not depend on how
-    many arrivals it is counted over. A stream of fewer than
-    4 * (2 * ports + 1) arrivals, which the windows below would cover in
-    two passes when its first window does not fill the ports, is counted
-    in one pass over all of it. A longer one is counted in passes over
-    leading windows of 2 * ports + 1 arrivals, then twice, four times ...
-    as many, until a window holds that arrival; a window that would leave
-    fewer arrivals after it than it holds takes the whole stream instead.
-    That arrival lies at an index p >= ports (busy_i <= i), or p = n when
-    there is none. The one pass over a short stream covers
-    n < 4 * (2p + 1) arrivals; on a longer one the last pass covers fewer
-    than 4p + 2 and all passes together fewer than 6p + 2. Either way the
-    cost is bounded by the prefix, not by the stream. From there, with the
-    prefix's sessions still in progress, ``_admission_rounds`` takes over on
-    ``_ROUNDS_MIN_PORTS`` ports or more, and ``_pooled_admission`` over
-    memoryviews of the rest of the arrays (no copy) on fewer.
+    busy_i >= ports is therefore admitted. As every j >= i ends at or after
+    times[i], with a window's ends sorted, busy_i >= ports reads as the
+    order statistic ends[i - ports] >= times[i], whatever the window. A
+    stream of fewer than 4 * (2 * ports + 1) arrivals, which the windows
+    below would cover in two passes when its first window does not fill
+    the ports, is counted in one pass over all of it. A longer one is
+    counted in passes over leading windows of 2 * ports + 1 arrivals, then
+    twice, four times ... as many, until a window holds that arrival; a
+    window that would leave fewer arrivals after it than it holds takes the
+    whole stream instead. That arrival lies at an index p >= ports
+    (busy_i <= i), or p = n when there is none. The one pass over a short
+    stream covers n < 4 * (2p + 1) arrivals; on a longer one the last pass
+    covers fewer than 4p + 2 and all passes together fewer than 6p + 2.
+    Either way the cost is bounded by the prefix, not by the stream. From
+    there, with the prefix's sessions still in progress,
+    ``_admission_rounds`` takes over on ``_ROUNDS_MIN_PORTS`` ports or
+    more, and ``_pooled_admission`` over memoryviews of the rest of the
+    arrays (no copy) on fewer.
     """
     n = len(times)
     w = 2 * ports + 1
@@ -123,33 +129,31 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray:
     while True:
         ends = times[:w] + holds[:w]
         ends.sort()
-        # every j >= i ends at or after times[i], so "< times[i]" counts only
-        # j < i, and busy_i >= ports reads (that count) <= i - ports
-        ended = ends.searchsorted(times[:w])
-        full = (ended <= np.arange(-ports, w - ports)).nonzero()[0]
+        full = (ends[: max(w - ports, 0)] >= times[ports:w]).nonzero()[0]
         if len(full) or w == n:
             break
         w *= 2
         if n - w < w:
             w = n
+    if not len(full):
+        return None
+    start = int(full[0]) + ports
+    ends = times[:start] + holds[:start]
+    ends = ends[ends > times[start]]
+    ends.sort()
     admitted = np.ones(n, dtype=bool)
-    if len(full):
-        start = int(full[0])
-        ends = times[:start] + holds[:start]
-        ends = ends[ends > times[start]]
-        ends.sort()
-        if ports >= _ROUNDS_MIN_PORTS:
-            admitted[start:] = _admission_rounds(times[start:], holds[start:], ports, ends)
-        else:
-            admitted[start:] = np.frombuffer(
-                _pooled_admission(
-                    memoryview(times[start:]),
-                    memoryview(holds[start:]),
-                    ports,
-                    ends.tolist(),
-                ),
-                dtype=bool,
-            )
+    if ports >= _ROUNDS_MIN_PORTS:
+        admitted[start:] = _admission_rounds(times[start:], holds[start:], ports, ends)
+    else:
+        admitted[start:] = np.frombuffer(
+            _pooled_admission(
+                memoryview(times[start:]),
+                memoryview(holds[start:]),
+                ports,
+                ends.tolist(),
+            ),
+            dtype=bool,
+        )
     return admitted
 
 
@@ -348,7 +352,9 @@ def run(
         first = int(times.searchsorted(warmup))
         entered = np.bincount(classes[first:], minlength=num_classes).tolist()
     admitted = _admission(times, holds, sum(capacities))
-    admits = np.bincount(classes[first:][admitted[first:]], minlength=num_classes).tolist()
+    admits = entered  # unless some arrival found all ports busy
+    if admitted is not None:
+        admits = np.bincount(classes[first:][admitted[first:]], minlength=num_classes).tolist()
     # each count is of a subset of the arrivals of the one before, so every
     # column is >= 0, and offered = admitted + policed + blocked by arithmetic
     policed = [o - e for o, e in zip(offered, entered)]

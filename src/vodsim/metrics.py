@@ -31,7 +31,7 @@ _Z95 = 1.96
 _COUNTS = ("offered", "admitted", "policed", "blocked")
 
 
-def _check_conservation(label, offered, admitted, policed, blocked):
+def _check_conservation(offered, admitted, policed, blocked):
     # one expression for valid counts; the loop below only words the error
     if (
         isinstance(offered, int)
@@ -47,37 +47,30 @@ def _check_conservation(label, offered, admitted, policed, blocked):
         return
     for name, v in zip(_COUNTS, (offered, admitted, policed, blocked)):
         if not isinstance(v, int) or v < 0:
-            raise ValueError(f"{label}: {name} must be a non-negative integer, got {v!r}")
+            raise ValueError(f"totals: {name} must be a non-negative integer, got {v!r}")
     raise ValueError(
-        f"{label}: conservation violated: offered {offered} != "
+        f"totals: conservation violated: offered {offered} != "
         f"admitted {admitted} + policed {policed} + blocked {blocked}"
     )
 
 
-class ClassCounts(namedtuple("ClassCounts", _COUNTS)):
-    """Post-warmup request counts for one request class.
+ClassCounts = namedtuple("ClassCounts", _COUNTS)
+ClassCounts.__doc__ = """Post-warmup request counts for one request class.
 
-    A tuple of (offered, admitted, policed, blocked), so it also equals a
-    plain 4-tuple of those counts. Calling the class checks the counts;
-    ``ClassCounts._make`` (and so ``_replace``) does not, and is for a
-    caller that has already checked them, as ``engine.run`` checks all
-    classes at once.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, offered: int, admitted: int, policed: int, blocked: int):
-        _check_conservation("class counts", offered, admitted, policed, blocked)
-        return super().__new__(cls, offered, admitted, policed, blocked)
+A tuple of (offered, admitted, policed, blocked), so it also equals a plain
+4-tuple of those counts. It checks nothing: ``engine.run`` checks all
+classes at once, and ``RunMetrics`` checks that the classes sum to its
+checked totals.
+"""
 
 
 @dataclass(frozen=True)
 class RunMetrics:
     """Counters from one simulation run, totals plus a per-class breakdown.
 
-    Calling the class checks the counts. ``RunMetrics._make(fields)``, like
-    ``ClassCounts._make``, does not: it is for a caller that has already
-    checked them, as ``engine.run`` has.
+    Calling the class checks the counts. ``RunMetrics._make(fields)`` does
+    not: it is for a caller that has already checked them, as
+    ``engine.run`` has.
     """
 
     offered: int
@@ -88,7 +81,7 @@ class RunMetrics:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_conservation("totals", self.offered, self.admitted, self.policed, self.blocked)
+        _check_conservation(self.offered, self.admitted, self.policed, self.blocked)
         if not isinstance(self.per_class, tuple):
             object.__setattr__(self, "per_class", tuple(self.per_class))
         if self.per_class:

@@ -67,7 +67,7 @@ class ClusterSpec:
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < SEED_LIMIT:
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 

@@ -5,6 +5,7 @@ import heapq
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -318,11 +319,13 @@ class TestRun:
 
 def admission_flags(times, holds, ports):
     """Admitted flags of ``_admission``, checked against the heap loop and the
-    rounds, each over the whole stream, at any port count."""
+    rounds, each over the whole stream, at any port count. ``_admission``
+    returns None, and builds no flags, only when it admits every arrival."""
     times, holds = np.array(times, float), np.array(holds, float)
-    flags = _admission(times, holds, ports).tolist()
-    loop = _pooled_admission(memoryview(times), memoryview(holds), ports, [])
-    assert flags == [bool(f) for f in loop]
+    flags = _admission(times, holds, ports)
+    loop = [bool(f) for f in _pooled_admission(memoryview(times), memoryview(holds), ports, [])]
+    flags = [True] * len(times) if flags is None else flags.tolist()
+    assert flags == loop
     assert _admission_rounds(times, holds, ports, np.empty(0)).tolist() == flags
     return flags
 
@@ -347,6 +350,19 @@ def direct_count(times, holds, ports, ends=()):
         if free:
             ends.append(t + h)
     return flags
+
+
+@st.composite
+def tied_float_streams(draw):
+    """Sorted float times and holds, zero and infinite holds among them,
+    where some sessions end exactly at the time of a later arrival."""
+    holds = st.sampled_from([0.0, math.inf]) | st.floats(0.0, 10.0)
+    arrivals = draw(st.lists(st.tuples(st.floats(0.0, 20.0), holds), max_size=30))
+    for k, hold in draw(st.lists(st.tuples(st.integers(0, 29), holds), max_size=10)):
+        if k < len(arrivals) and math.isfinite(arrivals[k][1]):
+            arrivals.append((arrivals[k][0] + arrivals[k][1], hold))
+    arrivals.sort(key=lambda a: a[0])
+    return [t for t, _ in arrivals], [h for _, h in arrivals]
 
 
 class TestPooledAdmission:
@@ -499,6 +515,37 @@ class TestPooledAdmission:
         assert (expected.index(False) if False in expected else None) == full
         assert admission_flags(times, holds, 3) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(tied_float_streams(), st.data())
+    def test_first_full_arrival_is_the_order_statistic(self, stream, data):
+        # the continuation starts at the first arrival whose earlier sessions
+        # end at or after it on every port (a tie counts as busy); before it
+        # nothing is blocked, and with no such arrival no flags are built
+        times, holds = stream
+        n = len(times)
+        ports = data.draw(st.sampled_from([0, n, n + 1]) | st.integers(0, n))
+        starts = []
+
+        def loop(times, holds, ports, departures):
+            starts.append(n - len(times))
+            return _pooled_admission(times, holds, ports, departures)
+
+        with mock.patch("vodsim.engine._pooled_admission", loop):
+            flags = _admission(np.array(times), np.array(holds), ports)
+        full = next(
+            (
+                i
+                for i, t in enumerate(times)
+                if sum(times[j] + holds[j] >= t for j in range(i)) >= ports
+            ),
+            None,
+        )
+        assert starts == ([] if full is None else [full])
+        expected = direct_count(times, holds, ports)
+        assert (flags is None) == (full is None)
+        assert (expected if flags is None else flags.tolist()) == expected
+        assert all(expected[: full if full is not None else n])
+
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_policed_share_is_binomial(seed):
@@ -625,6 +672,24 @@ def test_drawn_stream_runs_as_its_checked_copy(ports):
         assert m.blocked > 0
         assert run(w, [ports], strategy, 200.0, 20.0, 9, stream=copy) == m
         assert run(w, [ports], strategy, 200.0, 20.0, 9) == m
+
+
+@pytest.mark.parametrize("ports, rate", [(3, 0.05), (300, 20.0)])
+def test_run_that_blocks_nothing_admits_every_entered_arrival(ports, rate):
+    # light enough that no arrival finds all ports busy, on both sides of
+    # _ROUNDS_MIN_PORTS: run counts admissions without admitted flags
+    w = make_workload(rate, 1.0, num_clusters=3)
+    s = merged_arrival_stream(w.with_seed(4), 100.0)
+    assert len(s) > 10 and _admission(s.time, s.hold, ports) is None
+    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0, 0.5, 0.0))):
+        args = (w, [ports], strategy, 100.0, 10.0, 4)
+        m = run(*args)
+        assert m.blocked == 0 and m.admitted == m.offered - m.policed > 0
+        for c in m.per_class:
+            assert c.blocked == 0 and c.admitted == c.offered - c.policed
+        assert (m.policed > 0) == (strategy.mode == "policy")
+        assert m == reference_run(*args)
+        assert run(*args, stream=s) == m
 
 
 def test_narrow_class_ids_count_like_intp():

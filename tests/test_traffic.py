@@ -273,7 +273,7 @@ class TestWorkloadSpec:
         assert reseeded.clusters is spec.clusters
         assert spec.seed == 7
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, np.float64(7.0), "7"])
     def test_with_seed_rejects_what_replace_rejects(self, seed):
         spec = reference_point(1.0, 7)
         with pytest.raises(ValueError) as expected:
@@ -287,6 +287,18 @@ class TestWorkloadSpec:
             WorkloadSpec((), 1.0, 1.0, 2.0, -1)
         with pytest.raises(ValueError, match="seed"):
             WorkloadSpec((), 1.0, 1.0, 2.0, 2**64)
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer, got 1.5"):
+            WorkloadSpec((), 1.0, 1.0, 2.0, 1.5)
+
+    @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), np.uint8(7)])
+    def test_integer_seed_of_any_type_draws_the_int_seeds_stream(self, seed):
+        spec = reference_point(1.0, 0)
+        expected = merged_arrival_stream(spec.with_seed(int(seed)), 50.0)
+        for reseeded in (spec.with_seed(seed), replace(spec, seed=seed)):
+            got = merged_arrival_stream(reseeded, 50.0)
+            assert np.array_equal(got.time, expected.time)
+            assert np.array_equal(got.hold, expected.hold)
+            assert np.array_equal(got.class_id, expected.class_id)
 
     def test_offered_erlangs_sums_rate_times_hold(self):
         c0 = ClusterSpec(0, 2.0, 2.0, 3.0)

@@ -544,7 +544,7 @@ class TestPooledAdmission:
         expected = direct_count(times, holds, ports)
         assert (flags is None) == (full is None)
         assert (expected if flags is None else flags.tolist()) == expected
-        assert all(expected[: full if full is not None else n])
+        assert all(expected[:full])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])

@@ -60,19 +60,6 @@ def _replications(
     return [(name, tuple(out)) for (name, _), out in zip(strategies, runs)]
 
 
-def _restrict_to_class(m: RunMetrics, class_id: int) -> RunMetrics:
-    """View one class of a run as a standalone set of counters."""
-    c = m.per_class[class_id]
-    return RunMetrics(
-        offered=c.offered,
-        admitted=c.admitted,
-        policed=c.policed,
-        blocked=c.blocked,
-        per_class=(c,),
-        seed=m.seed,
-    )
-
-
 def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
     """Simulate every sweep point for every configured strategy.
 
@@ -80,9 +67,7 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
     arrival rate by traffic_rate_c / min_rate, so the sweep traces system
     blocking against total offered load. In per_cluster mode the load is
     fixed at the base scenario and each point reports one cluster's own
-    blocking. Each replication's arrival stream is built once and shared by
-    every strategy, so matched points across strategies run with the same
-    seeds on identical arrivals; policy gates draw from their own generator.
+    blocking.
     """
     base = config.workload()
     strategies = config.strategy_specs()
@@ -92,15 +77,15 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
         points = []
         for name, replications in _replications(config, base, strategies):
             for cluster in base.clusters:
+                # each run's class of this cluster as a run of its own, whose
+                # counts engine.run has checked
+                views = [(m.per_class[cluster.class_id], m.seed) for m in replications]
                 points.append(
                     SweepPoint.from_replications(
                         cluster.traffic_rate,
                         offered_total,
                         name,
-                        tuple(
-                            _restrict_to_class(m, cluster.class_id)
-                            for m in replications
-                        ),
+                        (RunMetrics._make((*c, (c,), seed)) for c, seed in views),
                     )
                 )
         return points

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .engine import POLICY, UNCONTROLLED, UNCONTROLLED_STRATEGY, StrategySpec
 from .errors import ConfigurationError
@@ -195,28 +196,11 @@ class ScenarioConfig:
         return specs
 
 
+# each key parses as its field's type; warmup, unset by default, as a float
 _PARSERS = {
-    "num_clusters": int,
-    "min_rate": float,
-    "max_rate": float,
-    "per_stream_bandwidth": float,
-    "num_partitions": int,
-    "ports_per_partition": int,
-    "min_hold": float,
-    "max_hold": float,
-    "horizon": float,
-    "warmup": float,
-    "replications": int,
-    "seed": int,
-    "strategy": str,
-    "policy_preset": str,
-    "weight_scaling": str,
-    "threshold": float,
-    "interactive_rate": float,
-    "sweep_mode": str,
+    name: float if kind == float | None else kind
+    for name, kind in get_type_hints(ScenarioConfig).items()
 }
-
-assert set(_PARSERS) == {f.name for f in fields(ScenarioConfig)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -261,7 +245,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)

@@ -5,33 +5,9 @@ blocked and policed requests leave the system (blocked calls cleared, no
 retry). An ``uncontrolled`` request asks at once; a ``policy`` request first
 passes a Bernoulli gate of its class.
 
-Admission depends only on the number of free ports among the N = sum of
-C_j ports of all partitions: a request that passes the gate is blocked
-exactly when all N are busy. Which partition's port it takes changes no
-count, so the engine keeps no home partition and no probe order, and no
-metric, CSV column or CLI output ever depended on them. Until the first
-arrival that finds all N ports busy, no arrival is blocked, so that
-prefix is admitted in numpy (``_admission``, which finds that arrival as
-an order statistic of the sorted session ends). From there, below
-``_ROUNDS_MIN_PORTS`` ports, a heap of the end times of at most N
-sessions takes one Python step per admitted arrival
-(``_pooled_admission``); from it up (the reference server has 300), every
-port moves on by one session per numpy round (``_admission_rounds``,
-which shows why both admit the same arrivals).
-
-A run counts the arrivals after the warmup per class with ``bincount``:
-all of them (offered), those that passed the gate (policy mode only) and
-those admitted (the gate-passed ones, with no flags built, when no arrival
-finds all ports busy). Each is a subset of the one before, so policed and
-blocked are differences of these counts, conservation holds by
-arithmetic, and the records are built unchecked after one check that
-every count is >= 0.
-
-The arrival stream of a seed is one :class:`ArrivalStream`; a caller that
-runs several strategies at one seed builds it once and passes it to each
-run, so every strategy sees the same arrivals. Policy gate uniforms, one
-per arrival in arrival order, come in one call from the run's own
-generator, seeded from the run seed under the gate tag.
+A request that passes the gate is blocked exactly when all N = sum of C_j
+ports of all partitions are busy; which partition's port it takes changes
+no count, so the engine keeps no home partition and no probe order.
 
 A run is strictly single-threaded and a pure function of its arguments;
 independent runs share no state and may execute concurrently.
@@ -308,13 +284,10 @@ def run(
     uniforms, one per arrival in arrival order, are drawn from
     ``default_rng(SeedSequence([_GATE_TAG, seed]))``, a generator apart
     from the stream's, so uncontrolled and policy runs at the same seed see
-    the same arrivals. A ``stream`` built by the caller is checked: one
-    whose arrays differ in length, whose class ids are not integers in
-    [0, number of clusters), whose times are not ascending or not in
-    [0, horizon) or whose holds are not >= 0 raises
-    :class:`ConfigurationError`. A stream that ``merged_arrival_stream``
-    drew for a workload of as many clusters and for this horizon is not
-    checked again; its arrays are read-only, so it is still as drawn.
+    the same arrivals. A ``stream`` built by the caller is checked by
+    ``_check_stream``. A stream that ``merged_arrival_stream`` drew for a
+    workload of as many clusters and for this horizon is not checked
+    again; its arrays are read-only, so it is still as drawn.
     Counters only include requests arriving at or after warmup; earlier
     requests still evolve the state.
     """

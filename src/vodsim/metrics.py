@@ -31,37 +31,9 @@ _Z95 = 1.96
 _COUNTS = ("offered", "admitted", "policed", "blocked")
 
 
-def _check_conservation(offered, admitted, policed, blocked):
-    # one expression for valid counts; the loop below only words the error
-    if (
-        isinstance(offered, int)
-        and isinstance(admitted, int)
-        and isinstance(policed, int)
-        and isinstance(blocked, int)
-        and offered >= 0
-        and admitted >= 0
-        and policed >= 0
-        and blocked >= 0
-        and offered == admitted + policed + blocked
-    ):
-        return
-    for name, v in zip(_COUNTS, (offered, admitted, policed, blocked)):
-        if not isinstance(v, int) or v < 0:
-            raise ValueError(f"totals: {name} must be a non-negative integer, got {v!r}")
-    raise ValueError(
-        f"totals: conservation violated: offered {offered} != "
-        f"admitted {admitted} + policed {policed} + blocked {blocked}"
-    )
-
-
 ClassCounts = namedtuple("ClassCounts", _COUNTS)
-ClassCounts.__doc__ = """Post-warmup request counts for one request class.
-
-A tuple of (offered, admitted, policed, blocked), so it also equals a plain
-4-tuple of those counts. It checks nothing: ``engine.run`` checks all
-classes at once, and ``RunMetrics`` checks that the classes sum to its
-checked totals.
-"""
+ClassCounts.__doc__ = """Post-warmup (offered, admitted, policed, blocked) counts of one
+request class; it checks nothing."""
 
 
 @dataclass(frozen=True)
@@ -81,20 +53,25 @@ class RunMetrics:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_conservation(self.offered, self.admitted, self.policed, self.blocked)
+        totals = (self.offered, self.admitted, self.policed, self.blocked)
+        for name, v in zip(_COUNTS, totals):
+            if not isinstance(v, int) or v < 0:
+                raise ValueError(f"totals: {name} must be a non-negative integer, got {v!r}")
+        if self.offered != self.admitted + self.policed + self.blocked:
+            raise ValueError(
+                f"totals: conservation violated: offered {self.offered} != "
+                f"admitted {self.admitted} + policed {self.policed} + blocked {self.blocked}"
+            )
         if not isinstance(self.per_class, tuple):
             object.__setattr__(self, "per_class", tuple(self.per_class))
-        if self.per_class:
-            # each ClassCounts is a tuple, so the columns zip; the loop below
-            # only words the error
-            sums = tuple(map(sum, zip(*self.per_class)))
-            totals = (self.offered, self.admitted, self.policed, self.blocked)
-            if sums != totals:
-                for name, total, expected in zip(_COUNTS, sums, totals):
-                    if total != expected:
-                        raise ValueError(
-                            f"per-class {name} sums to {total}, totals say {expected}"
-                        )
+        # each ClassCounts is a tuple, so the columns zip, to nothing when
+        # there are no classes
+        sums = map(sum, zip(*self.per_class))
+        for name, total, expected in zip(_COUNTS, sums, totals):
+            if total != expected:
+                raise ValueError(
+                    f"per-class {name} sums to {total}, totals say {expected}"
+                )
 
     @classmethod
     def _make(cls, values) -> RunMetrics:
@@ -168,9 +145,8 @@ class SweepPoint:
 
     A point holds only its replications; every statistic is derived from
     them by one function, as a mean with a 95% normal-quantile (1.96)
-    halfwidth. mean_blocking and ci95_halfwidth are server-scope and both
-    None when the metric was undefined in some replication. Each read
-    recomputes them.
+    halfwidth. mean_blocking is server-scope and None when the metric was
+    undefined in some replication. Each read recomputes it.
     """
 
     traffic_rate: float
@@ -181,10 +157,6 @@ class SweepPoint:
     @property
     def mean_blocking(self) -> float | None:
         return _stats(self.replications, blocking_probability)[0]
-
-    @property
-    def ci95_halfwidth(self) -> float | None:
-        return _stats(self.replications, blocking_probability)[1]
 
     @classmethod
     def from_replications(

@@ -4,18 +4,10 @@ A workload is a set of client clusters, each offering sessions at a rate
 derived from its traffic rate in Mb/s and the bandwidth one admitted stream
 consumes. Arrivals are Poisson per cluster and holding times exponential
 with a per-cluster mean. The merged stream, the superposition of all
-clusters, is drawn whole from one generator per run: a Poisson count,
-sorted times from normalised exponential spacings, and a class mark per
-arrival. The marks are looked up in a guide table (Chen & Asau's indexed
-search) of M equal cells of the uniform, M a power of two: a cell that no
-class bound crosses holds its class, and only the arrivals in the at most
-live - 1 cells that one crosses are bisected. What the stream needs of its
-workload (live classes, class bounds, the guide, holding means) is built
-once per workload and shared by all its replications. The stream is
-returned as an :class:`ArrivalStream` of parallel read-only numpy arrays
-(arrival time, holding time, class id) rather than one object per request,
-in three buffers: the times in the generator's exponentials, the holds in
-its uniforms, and the class ids from the guide.
+clusters, is drawn whole from one generator per run
+(:func:`merged_arrival_stream`) and returned as an :class:`ArrivalStream`
+of parallel numpy arrays rather than one object per request. Its class
+marks are looked up in a guide table (Chen & Asau's indexed search).
 
 All randomness flows from explicit seeds. Generator state is single-owner:
 one stream is advanced by one caller at a time; distinct seeds may run

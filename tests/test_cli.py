@@ -101,6 +101,19 @@ class TestRunSweep:
             for m in p.replications:
                 assert len(m.per_class) == 1
 
+    def test_per_cluster_points_are_classes_of_the_base_runs(self):
+        config = small_config(strategy="both", sweep_mode="per_cluster")
+        base = {p.strategy: p.replications for p in run_scenario(config)}
+        class_of = {c.traffic_rate: c.class_id for c in config.workload().clusters}
+        points = run_sweep(config)
+        assert len(points) == 4
+        for p in points:
+            for m, whole in zip(p.replications, base[p.strategy], strict=True):
+                counts = whole.per_class[class_of[p.traffic_rate]]
+                assert (m.offered, m.admitted, m.policed, m.blocked) == counts
+                assert m.per_class == (counts,)
+                assert m.seed == whole.seed
+
     def test_conservation_in_every_replication(self):
         for p in run_sweep(small_config()):
             for m in p.replications:

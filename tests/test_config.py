@@ -1,7 +1,7 @@
 """Tests for the key=value config format and scenario defaults."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -146,6 +146,37 @@ class TestParseErrors:
         cfg.write_text("weight_scaling = softmax\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "weight_scaling must be one of" in capsys.readouterr().err
+
+
+class TestValueTypes:
+    def test_each_key_parses_as_its_field_type(self, tmp_path):
+        # types, not values: 30.0 == 30, so comparing configs would hide an
+        # int key parsed as a float
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text((CONFIGS / "reference.cfg").read_text() + "warmup = 50\n")
+        parsed = load_config(cfg)
+        for f in fields(ScenarioConfig):
+            expected = float if f.name == "warmup" else type(f.default)
+            assert type(getattr(parsed, f.name)) is expected, f.name
+
+    @pytest.mark.parametrize("text", ["num_clusters = 2.0", "seed = 1.5"])
+    def test_float_for_an_int_key_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(text + "\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "bad value" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "num_clusters = 3\nseed = 7\n"
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(text.encode("utf-8-sig"))
+        assert load_config(cfg) == parse_config(text)
+
+    def test_byte_order_mark_then_non_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed = 4\xff\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
 
 
 class TestScenarioHelpers:

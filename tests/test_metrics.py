@@ -238,13 +238,11 @@ class TestSweepPoint:
     def test_from_replications_computes_server_stats(self):
         p = make_point(2.0, blocked=40)
         assert p.mean_blocking == pytest.approx(0.4)
-        assert p.ci95_halfwidth == 0.0
 
     def test_undefined_metric_becomes_absent(self):
         reps = (mk(0, 0, 0, 0),)
         p = SweepPoint.from_replications(1.0, 0.0, "uncontrolled", reps)
         assert p.mean_blocking is None
-        assert p.ci95_halfwidth is None
 
 
 class TestToCsv:
@@ -293,7 +291,6 @@ class TestToCsv:
         assert float(row[0]) == pytest.approx(p.traffic_rate, rel=1e-11)
         assert float(row[1]) == pytest.approx(p.offered_erlangs, rel=1e-11)
         assert float(row[4]) == pytest.approx(p.mean_blocking, rel=1e-11)
-        assert float(row[5]) == pytest.approx(p.ci95_halfwidth, rel=1e-11)
 
     def test_probability_precision_at_least_six_digits(self):
         reps = (mk(3, 2, 0, 1),)
@@ -313,11 +310,11 @@ class TestToCsv:
         if server_undefined:
             with pytest.raises(UndefinedMetricError):
                 aggregate(reps, "server")
-            assert (p.mean_blocking, p.ci95_halfwidth) == (None, None)
+            assert p.mean_blocking is None
             assert row[4:6] == ["", ""]
         else:
             server = aggregate(reps, "server")
-            assert (p.mean_blocking, p.ci95_halfwidth) == server
+            assert p.mean_blocking == server[0]
             assert row[4:6] == [f"{v:.12g}" for v in server]
         if offered_undefined:
             with pytest.raises(UndefinedMetricError):

@@ -12,7 +12,7 @@ ignored, unknown keys rejected with the offending line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -75,10 +75,17 @@ class ScenarioConfig:
     sweep_mode: str = SWEEP_GLOBAL
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+        # each field holds its type: an int may stand for a float, a bool for
+        # nothing, and None only for warmup
+        for name, kind in _PARSERS.items():
+            value = getattr(self, name)
+            if value is None and name == "warmup":
+                continue
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigurationError(f"{name} must be of type {kind.__name__}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.warmup is None:
             object.__setattr__(self, "warmup", 0.1 * self.horizon)
         last_seed = (

@@ -103,10 +103,13 @@ class WorkloadSpec:
                     f"cluster {c.class_id}: mean_holding {c.mean_holding} outside "
                     f"[{self.min_hold}, {self.max_hold}]"
                 )
+        # derived from the frozen clusters, so never stale; not a field, so
+        # repr, == and hash ignore it
+        object.__setattr__(self, "_tables", _stream_tables(self.clusters))
 
     def with_seed(self, seed: int) -> WorkloadSpec:
         """``replace(self, seed=seed)``, checking only the seed, the one
-        field that changed; the clusters tuple is kept, and so its tables."""
+        field that changed; the copy shares this workload's tables."""
         _check_seed(seed)
         spec = object.__new__(type(self))
         spec.__dict__.update(self.__dict__, seed=seed)
@@ -201,13 +204,7 @@ def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
     return replace(spec, clusters=clusters)
 
 
-# The last workload's stream tables as one (clusters, tables) pair. It is read
-# and replaced whole, so a caller on another thread never pairs one
-# workload's key with another's tables.
-_tables_memo: tuple = (None, None)
-
-
-def _workload_tables(clusters: tuple[ClusterSpec, ...]) -> tuple:
+def _stream_tables(clusters: tuple[ClusterSpec, ...]) -> tuple:
     """The per-workload constants of a stream: ``(live, total, inner, guide, means)``.
 
     - ``live``: the ids of the classes with a rate > 0, or None when every
@@ -221,17 +218,9 @@ def _workload_tables(clusters: tuple[ClusterSpec, ...]) -> tuple:
       M is a power of two, about 64 per live class and at most 2**16;
     - ``means``: the holding means of the live classes.
 
-    The tables are memoised on the identity of ``clusters``, which
-    ``replace(spec, seed=...)`` keeps, so every replication of a sweep point
-    reuses them; hashing the tuple's value would cost as much as they save.
-    The memo holds the tuple itself, so no later tuple can take its id
-    while it is the key. The arrays are read-only, since every caller
-    shares them.
+    ``WorkloadSpec`` builds them once and every replication of a sweep point
+    shares them, so the arrays are read-only.
     """
-    global _tables_memo
-    key, tables = _tables_memo
-    if key is clusters:
-        return tables
     rates = np.array([c.request_rate + c.interactive_rate for c in clusters])
     live = np.flatnonzero(rates > 0)
     bounds = np.cumsum(rates[live])
@@ -243,9 +232,7 @@ def _workload_tables(clusters: tuple[ClusterSpec, ...]) -> tuple:
     means = np.array([c.mean_holding for c in clusters])[live]
     for table in (live, inner, guide, means):
         table.flags.writeable = False
-    tables = (None if len(live) == len(clusters) else live, total, inner, guide, means)
-    _tables_memo = (clusters, tables)
-    return tables
+    return (None if len(live) == len(clusters) else live, total, inner, guide, means)
 
 
 def _class_marks(
@@ -253,7 +240,7 @@ def _class_marks(
 ) -> np.ndarray:
     """``searchsorted(inner, u * total, "right")``, bit for bit; ``u`` is kept.
 
-    ``inner`` and ``guide`` come from ``_workload_tables``: searching only
+    ``inner`` and ``guide`` come from ``_stream_tables``: searching only
     the inner bounds maps every mark, even one that rounds up to the total,
     onto a live class. With M = len(guide), a power of two, u * M and
     k / M are exact, and rounding is monotone, so a u in cell k has a mark
@@ -294,7 +281,7 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    live, total, inner, guide, means = _workload_tables(spec.clusters)
+    live, total, inner, guide, means = spec._tables
     rng = np.random.default_rng(np.random.SeedSequence([_ARRIVAL_TAG, spec.seed]))
     n = int(rng.poisson(total * horizon))
     # Three n-length buffers hold the stream: the exponentials become the

@@ -166,6 +166,28 @@ class TestValueTypes:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "bad value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_clusters", 2.0),
+            ("replications", 1.5),
+            ("ports_per_partition", True),
+            ("horizon", "5"),
+            ("min_rate", False),
+            ("warmup", "1"),
+            ("strategy", 1),
+            ("seed", None),
+        ],
+    )
+    def test_wrong_type_from_python_is_a_configuration_error(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be of type"):
+            ScenarioConfig(**{"horizon": 5.0, field: value})
+
+    def test_an_int_stands_for_a_float(self):
+        config = ScenarioConfig(horizon=5, warmup=1, min_rate=1, threshold=0)
+        assert config == ScenarioConfig(horizon=5.0, warmup=1.0, min_rate=1.0, threshold=0.0)
+        assert ScenarioConfig(horizon=5).warmup == 0.5
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         text = "num_clusters = 3\nseed = 7\n"
         cfg = tmp_path / "bom.cfg"

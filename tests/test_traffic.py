@@ -3,10 +3,11 @@
 import gc
 import hashlib
 import math
+import pickle
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from vodsim.traffic import (
     ClusterSpec,
     WorkloadSpec,
     _class_marks,
-    _workload_tables,
+    _stream_tables,
     build_workload,
     merged_arrival_stream,
     scale_workload,
@@ -489,7 +490,7 @@ def test_guide_table_equals_a_bisection_of_any_uniforms(rates, u):
     total = float(bounds[-1]) if len(live) else 0.0
     u = np.array(u, np.float64)
     expected = np.searchsorted(bounds[:-1], u * total, "right")
-    _, table_total, inner, guide, _ = _workload_tables(rate_workload(rates, 0).clusters)
+    _, table_total, inner, guide, _ = _stream_tables(rate_workload(rates, 0).clusters)
     assert table_total == total
     marks = u.copy()
     assert _class_marks(marks, inner, guide, table_total).tolist() == expected.tolist()
@@ -502,7 +503,7 @@ def test_guide_table_equals_a_bisection_of_any_uniforms(rates, u):
 @example([1.0, 1e-17, 1e-17, 0.0, 2.5])
 @example([7.0, 1e-17] * 6)
 def test_guide_marks_exactly_the_cells_a_bound_crosses(rates):
-    live, total, inner, guide, _ = _workload_tables(rate_workload(rates, 0).clusters)
+    live, total, inner, guide, _ = _stream_tables(rate_workload(rates, 0).clusters)
     count = len(inner)  # the live classes, or 1 with none
     cells = len(guide)
     assert cells & (cells - 1) == 0 and (cells == 2**16 or 64 * count <= cells < 128 * count)
@@ -588,14 +589,44 @@ def stream_bytes(stream):
     return stream.time.tobytes(), stream.hold.tobytes(), stream.class_id.tobytes()
 
 
+def assert_tables_equal(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a is None if b is None else np.array_equal(a, b)
+
+
 class TestWorkloadTables:
-    """The per-workload stream tables are memoised on the identity of the
-    clusters tuple; no memo state may change a stream."""
+    """A workload builds its stream tables once and holds them: a seed-only
+    copy shares them, any other copy rebuilds them from its own clusters,
+    and no two workloads or threads ever see each other's."""
 
     def test_replications_share_the_tables(self):
         spec = reference_point(1.0, 7)
-        tables = _workload_tables(spec.clusters)
-        assert _workload_tables(replace(spec, seed=8).clusters) is tables
+        assert spec.with_seed(8)._tables is spec._tables
+
+    def test_replace_rebuilds_equal_tables(self):
+        spec = rate_workload((1.0, 0.0, 2.5), 7)
+        rebuilt = replace(spec, seed=8)
+        assert rebuilt._tables is not spec._tables
+        assert_tables_equal(rebuilt._tables, spec._tables)
+
+    @pytest.mark.parametrize("rates", [(1.0, 0.0, 2.5), (2.0, 3.0)])
+    def test_pickle_round_trip_draws_the_same_stream(self, rates):
+        spec = rate_workload(rates, 11)
+        loaded = pickle.loads(pickle.dumps(spec))
+        assert loaded == spec and repr(loaded) == repr(spec)
+        assert_tables_equal(loaded._tables, spec._tables)
+        assert stream_bytes(merged_arrival_stream(loaded, 50.0)) == stream_bytes(
+            merged_arrival_stream(spec, 50.0)
+        )
+
+    def test_repr_and_eq_ignore_the_tables(self):
+        spec = rate_workload((1.0, 2.0), 3)
+        other = rate_workload((1.0, 2.0), 3)
+        assert other._tables is not spec._tables
+        assert other == spec and hash(other) == hash(spec)
+        assert "_tables" not in repr(spec)
+        assert "_tables" not in {f.name for f in fields(spec)}
 
     def test_alternating_workloads_give_their_own_streams(self):
         a = reference_point(1.0, 7)
@@ -624,7 +655,7 @@ class TestWorkloadTables:
             gc.collect()
 
     def test_tables_are_read_only(self):
-        tables = _workload_tables(rate_workload((1.0, 0.0, 2.0), 0).clusters)
+        tables = rate_workload((1.0, 0.0, 2.0), 0)._tables
         live, _, inner, guide, means = tables
         for table in (live, inner, guide, means):
             with pytest.raises(ValueError):

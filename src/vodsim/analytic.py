@@ -102,8 +102,8 @@ def pooled_blocking(
     if gates is None:
         gates = (1.0,) * len(workload.clusters)
     load = sum(
-        g * (c.request_rate + c.interactive_rate) * c.mean_holding
-        for g, c in zip(gates, workload.clusters, strict=True)
+        g * r * c.mean_holding
+        for g, r, c in zip(gates, workload.arrival_rates(), workload.clusters, strict=True)
     )
     return erlang_b(load, ports)
 

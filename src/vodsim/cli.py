@@ -76,10 +76,10 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
         offered_total = base.offered_erlangs()
         points = []
         for name, replications in _replications(config, base, strategies):
-            for cluster in base.clusters:
+            for class_id, cluster in enumerate(base.clusters):
                 # each run's class of this cluster as a run of its own, whose
                 # counts engine.run has checked
-                views = [(m.per_class[cluster.class_id], m.seed) for m in replications]
+                views = [(m.per_class[class_id], m.seed) for m in replications]
                 points.append(
                     SweepPoint.from_replications(
                         cluster.traffic_rate,

@@ -34,23 +34,19 @@ _GATE_TAG = 2
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """One client population: its traffic rate and derived session behavior.
+    """One client population: its traffic rate in Mb/s and its sessions.
 
-    request_rate is traffic_rate divided by the owning workload's
-    per-stream bandwidth; interactive_rate is an optional second Poisson
-    stream whose sessions also hold one port each.
+    Its workload derives its class id and request rate. interactive_rate
+    is an optional second Poisson stream, in requests/s, whose sessions
+    also hold one port each.
     """
 
-    class_id: int
     traffic_rate: float
-    request_rate: float
     mean_holding: float
     interactive_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.class_id < 0:
-            raise ValueError(f"class_id must be >= 0, got {self.class_id}")
-        for name in ("traffic_rate", "request_rate", "interactive_rate"):
+        for name in ("traffic_rate", "interactive_rate"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
@@ -65,12 +61,10 @@ def _check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A full client population plus the parameters its clusters must obey."""
+    """Client clusters, one stream's bandwidth and the arrival seed; cluster c is class c."""
 
     clusters: tuple[ClusterSpec, ...]
     per_stream_bandwidth: float
-    min_hold: float
-    max_hold: float
     seed: int
 
     def __post_init__(self) -> None:
@@ -80,32 +74,19 @@ class WorkloadSpec:
             raise ValueError(
                 f"per_stream_bandwidth must be > 0, got {self.per_stream_bandwidth}"
             )
-        if not 0 < self.min_hold <= self.max_hold:
-            raise ValueError(
-                f"holding bounds must satisfy 0 < min <= max, "
-                f"got [{self.min_hold}, {self.max_hold}]"
-            )
         _check_seed(self.seed)
-        for position, c in enumerate(self.clusters):
-            if c.class_id != position:
-                raise ValueError(
-                    f"cluster at position {position} has class_id {c.class_id}; "
-                    "class ids must be the 0-based cluster positions"
-                )
-            expected = c.traffic_rate / self.per_stream_bandwidth
-            if not math.isclose(c.request_rate, expected, rel_tol=1e-9, abs_tol=1e-12):
-                raise ValueError(
-                    f"cluster {c.class_id}: request_rate {c.request_rate} does not "
-                    f"match traffic_rate/per_stream_bandwidth = {expected}"
-                )
-            if not self.min_hold <= c.mean_holding <= self.max_hold:
-                raise ValueError(
-                    f"cluster {c.class_id}: mean_holding {c.mean_holding} outside "
-                    f"[{self.min_hold}, {self.max_hold}]"
-                )
         # derived from the frozen clusters, so never stale; not a field, so
         # repr, == and hash ignore it
-        object.__setattr__(self, "_tables", _stream_tables(self.clusters))
+        object.__setattr__(self, "_tables", _stream_tables(self))
+
+    def __reduce__(self) -> tuple:
+        """Pickle the fields alone: a load rebuilds read-only tables."""
+        return type(self), (self.clusters, self.per_stream_bandwidth, self.seed)
+
+    def arrival_rates(self) -> list[float]:
+        """traffic_rate / per_stream_bandwidth + interactive_rate per class, in requests/s."""
+        bandwidth = self.per_stream_bandwidth
+        return [c.traffic_rate / bandwidth + c.interactive_rate for c in self.clusters]
 
     def with_seed(self, seed: int) -> WorkloadSpec:
         """``replace(self, seed=seed)``, checking only the seed, the one
@@ -117,13 +98,12 @@ class WorkloadSpec:
 
     def total_arrival_rate(self) -> float:
         """Sum of steady and interactive request rates, in requests/s."""
-        return sum(c.request_rate + c.interactive_rate for c in self.clusters)
+        return sum(self.arrival_rates())
 
     def offered_erlangs(self) -> float:
         """Total offered load: sum over clusters of arrival rate times mean hold."""
         return sum(
-            (c.request_rate + c.interactive_rate) * c.mean_holding
-            for c in self.clusters
+            rate * c.mean_holding for rate, c in zip(self.arrival_rates(), self.clusters)
         )
 
 
@@ -160,32 +140,30 @@ def build_workload(
     """Assemble a workload of clusters with linearly spaced traffic rates.
 
     Cluster c gets traffic rate min_rate + c * (max_rate - min_rate) /
-    (num_clusters - 1), a single cluster gets min_rate, and its request rate
-    is that over per_stream_bandwidth. Each cluster's holding mean is drawn
-    once, seeded, uniform over [min_hold, max_hold], and fixed into its spec,
-    so rescaling rates or rerunning with a different stream seed never
-    redraws it. The specs check every other rule.
+    (num_clusters - 1), and a single cluster gets min_rate. Each holding
+    mean is drawn once, seeded, uniform over [min_hold, max_hold], and
+    fixed into its cluster, so rescaling rates or rerunning with a
+    different stream seed never redraws it. The specs check every other rule.
     """
     if num_clusters < 1:
         raise ValueError(f"cluster count must be >= 1, got {num_clusters}")
     if not 0 <= min_rate <= max_rate:
         raise ValueError(f"rates must satisfy 0 <= min <= max, got [{min_rate}, {max_rate}]")
-    if not math.isfinite(per_stream_bandwidth) or per_stream_bandwidth <= 0:
-        raise ValueError(f"per_stream_bandwidth must be > 0, got {per_stream_bandwidth}")
+    # rng.uniform(5, 2) would draw from [2, 5] without a word
+    if not 0 < min_hold <= max_hold:
+        raise ValueError(f"hold bounds must satisfy 0 < min <= max, got [{min_hold}, {max_hold}]")
     rng = np.random.default_rng(np.random.SeedSequence([_HOLD_DRAW_TAG, seed]))
     mean_holdings = rng.uniform(min_hold, max_hold, num_clusters).tolist()
     step = (max_rate - min_rate) / (num_clusters - 1) if num_clusters > 1 else 0.0
     clusters = tuple(
         ClusterSpec(
-            class_id=c,
             traffic_rate=min_rate + c * step,
-            request_rate=(min_rate + c * step) / per_stream_bandwidth,
             mean_holding=mean_holding,
             interactive_rate=interactive_rate,
         )
         for c, mean_holding in enumerate(mean_holdings)
     )
-    return WorkloadSpec(clusters, per_stream_bandwidth, min_hold, max_hold, seed)
+    return WorkloadSpec(clusters, per_stream_bandwidth, seed)
 
 
 def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
@@ -193,18 +171,13 @@ def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
     if not math.isfinite(multiplier) or multiplier < 0:
         raise ValueError(f"multiplier must be finite and >= 0, got {multiplier}")
     clusters = tuple(
-        replace(
-            c,
-            traffic_rate=c.traffic_rate * multiplier,
-            request_rate=c.traffic_rate * multiplier / spec.per_stream_bandwidth,
-            interactive_rate=c.interactive_rate * multiplier,
-        )
+        ClusterSpec(c.traffic_rate * multiplier, c.mean_holding, c.interactive_rate * multiplier)
         for c in spec.clusters
     )
     return replace(spec, clusters=clusters)
 
 
-def _stream_tables(clusters: tuple[ClusterSpec, ...]) -> tuple:
+def _stream_tables(spec: WorkloadSpec) -> tuple:
     """The per-workload constants of a stream: ``(live, total, inner, guide, means)``.
 
     - ``live``: the ids of the classes with a rate > 0, or None when every
@@ -221,7 +194,11 @@ def _stream_tables(clusters: tuple[ClusterSpec, ...]) -> tuple:
     ``WorkloadSpec`` builds them once and every replication of a sweep point
     shares them, so the arrays are read-only.
     """
-    rates = np.array([c.request_rate + c.interactive_rate for c in clusters])
+    rates = spec.arrival_rates()
+    # a derived rate overflows where its inputs do not: 1.0 / 1e-310 is inf
+    if not math.isfinite(sum(rates)):
+        raise ValueError("the arrival rates must be finite, and so must their sum")
+    rates = np.array(rates)
     live = np.flatnonzero(rates > 0)
     bounds = np.cumsum(rates[live])
     total = float(bounds[-1]) if len(live) else 0.0
@@ -229,10 +206,10 @@ def _stream_tables(clusters: tuple[ClusterSpec, ...]) -> tuple:
     cells = 1 << min(16, (64 * len(inner) - 1).bit_length())
     edges = np.searchsorted(inner, np.arange(cells + 1) / cells * total, "right")
     guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
-    means = np.array([c.mean_holding for c in clusters])[live]
+    means = np.array([c.mean_holding for c in spec.clusters])[live]
     for table in (live, inner, guide, means):
         table.flags.writeable = False
-    return (None if len(live) == len(clusters) else live, total, inner, guide, means)
+    return (None if len(live) == len(rates) else live, total, inner, guide, means)
 
 
 def _class_marks(

@@ -48,8 +48,8 @@ def criterion(number, label):
 
 def two_per_second_cluster():
     """One cluster at 2 requests/s with a 1 s mean hold: 2 erlangs offered."""
-    cluster = ClusterSpec(0, 2.0, 2.0, 1.0)
-    return WorkloadSpec((cluster,), 1.0, 1.0, 1.0, 0)
+    cluster = ClusterSpec(2.0, 1.0)
+    return WorkloadSpec((cluster,), 1.0, 0)
 
 
 def test_criterion_1_erlang_b_oracle_equivalence():

@@ -122,9 +122,9 @@ class TestErlangBDirect:
 
 class TestPooledBlocking:
     def workload(self):
-        c0 = ClusterSpec(0, 2.0, 2.0, 3.0)
-        c1 = ClusterSpec(1, 4.0, 4.0, 1.5, interactive_rate=1.0)
-        return WorkloadSpec((c0, c1), 1.0, 1.0, 4.0, 0)
+        c0 = ClusterSpec(2.0, 3.0)
+        c1 = ClusterSpec(4.0, 1.5, interactive_rate=1.0)
+        return WorkloadSpec((c0, c1), 1.0, 0)
 
     def test_ungated_is_erlang_b_of_the_offered_load(self):
         w = self.workload()

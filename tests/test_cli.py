@@ -104,7 +104,7 @@ class TestRunSweep:
     def test_per_cluster_points_are_classes_of_the_base_runs(self):
         config = small_config(strategy="both", sweep_mode="per_cluster")
         base = {p.strategy: p.replications for p in run_scenario(config)}
-        class_of = {c.traffic_rate: c.class_id for c in config.workload().clusters}
+        class_of = {c.traffic_rate: k for k, c in enumerate(config.workload().clusters)}
         points = run_sweep(config)
         assert len(points) == 4
         for p in points:

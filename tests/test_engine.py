@@ -46,10 +46,8 @@ from vodsim.traffic import (
 
 
 def make_workload(rate, mean_hold, *, num_clusters=1, interactive=0.0, seed=0):
-    clusters = tuple(
-        ClusterSpec(c, rate, rate, mean_hold, interactive) for c in range(num_clusters)
-    )
-    return WorkloadSpec(clusters, 1.0, mean_hold, mean_hold, seed)
+    clusters = (ClusterSpec(rate, mean_hold, interactive),) * num_clusters
+    return WorkloadSpec(clusters, 1.0, seed)
 
 
 def req(class_id=0, t=1.0, hold=1.0):
@@ -221,7 +219,7 @@ class TestStrategySpec:
 
 class TestRun:
     def test_empty_workload_zeroes_everything(self):
-        empty = WorkloadSpec((), 1.0, 1.0, 2.0, 0)
+        empty = WorkloadSpec((), 1.0, 0)
         m = run(empty, [2, 2], UNCONTROLLED_STRATEGY, 100.0, 10.0, seed=1)
         assert (m.offered, m.admitted, m.policed, m.blocked) == (0, 0, 0, 0)
 
@@ -715,14 +713,12 @@ def small_runs(
         rate = draw(st.sampled_from(rates))
         clusters.append(
             ClusterSpec(
-                c,
-                rate,
                 rate,
                 draw(st.sampled_from([0.5, 1.0, 3.0])),
                 draw(st.sampled_from([0.0, 0.0, 1.5])),
             )
         )
-    workload = WorkloadSpec(tuple(clusters), 1.0, 0.5, 3.0, 0)
+    workload = WorkloadSpec(tuple(clusters), 1.0, 0)
     capacities = draw(st.lists(capacity, min_size=1, max_size=4))
     gates = draw(st.lists(st.sampled_from([0.0, 1.0, 0.3]), min_size=k, max_size=k))
     if draw(st.booleans()):

@@ -48,7 +48,7 @@ class TestConstructionInvariants:
     def test_warmup_within_horizon(self):
         # the counters cover [warmup, horizon); run refuses a window that is empty
         # or starts before time zero
-        empty = WorkloadSpec((), 1.0, 1.0, 2.0, 0)
+        empty = WorkloadSpec((), 1.0, 0)
         for warmup in (100.0, 150.0, -1.0):
             with pytest.raises(ValueError, match="warmup"):
                 run(empty, [1], UNCONTROLLED_STRATEGY, 100.0, warmup, seed=0)

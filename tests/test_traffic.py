@@ -31,19 +31,11 @@ from vodsim.traffic import (
 
 def single_cluster_workload(rate_per_s, mean_hold, seed, interactive=0.0):
     cluster = ClusterSpec(
-        class_id=0,
         traffic_rate=rate_per_s,
-        request_rate=rate_per_s,
         mean_holding=mean_hold,
         interactive_rate=interactive,
     )
-    return WorkloadSpec(
-        clusters=(cluster,),
-        per_stream_bandwidth=1.0,
-        min_hold=mean_hold,
-        max_hold=mean_hold,
-        seed=seed,
-    )
+    return WorkloadSpec(clusters=(cluster,), per_stream_bandwidth=1.0, seed=seed)
 
 
 def reference_rates(count, min_rate, max_rate, per_stream_bandwidth=1.0):
@@ -76,20 +68,20 @@ class TestBuildClusters:
             reference_rates(3, 2.0, 1.0)
 
     def test_request_rates_derived_from_bandwidth(self):
-        clusters = reference_rates(2, 1.0, 2.0, per_stream_bandwidth=0.5).clusters
-        assert [c.request_rate for c in clusters] == [2.0, 4.0]
+        spec = reference_rates(2, 1.0, 2.0, per_stream_bandwidth=0.5)
+        assert spec.arrival_rates() == [2.0, 4.0]
 
 
 class TestRequestRate:
     def test_division(self):
-        clusters = reference_rates(2, 1.0, 15.5, per_stream_bandwidth=0.5).clusters
-        assert [c.request_rate for c in clusters] == [2.0, 31.0]
+        spec = reference_rates(2, 1.0, 15.5, per_stream_bandwidth=0.5)
+        assert spec.arrival_rates() == [2.0, 31.0]
 
     def test_zero_traffic_is_zero(self):
         base = reference_rates(2, 0.0, 0.0, per_stream_bandwidth=0.5)
-        assert [c.request_rate for c in base.clusters] == [0.0, 0.0]
+        assert base.arrival_rates() == [0.0, 0.0]
         scaled = scale_workload(reference_rates(2, 1.0, 2.0), 0.0)
-        assert [c.request_rate for c in scaled.clusters] == [0.0, 0.0]
+        assert scaled.arrival_rates() == [0.0, 0.0]
 
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError, match="per_stream_bandwidth"):
@@ -99,12 +91,17 @@ class TestRequestRate:
         with pytest.raises(ValueError, match="per_stream_bandwidth"):
             reference_rates(2, 1.0, 2.0, per_stream_bandwidth=-1.0)
 
+    def test_overflowing_rate_rejected(self):
+        # 1.0 / 1e-310 overflows to inf, though both inputs are finite
+        with pytest.raises(ValueError, match="must be finite"):
+            build_workload(1, 1.0, 1.0, 1e-310, 1.0, 1.0, 0)
+
     def test_scaled_request_rate_is_scaled_traffic_over_bandwidth(self):
         # bit-equal: the sweep's CSV depends on these exact doubles
         base = reference_rates(30, 1.0, 15.5, per_stream_bandwidth=100.0)
         for multiplier in (1.5, 1 / 3, 15.5):
             scaled = scale_workload(base, multiplier)
-            assert [c.request_rate for c in scaled.clusters] == [
+            assert scaled.arrival_rates() == [
                 c.traffic_rate * multiplier / 100.0 for c in base.clusters
             ]
 
@@ -117,14 +114,14 @@ class TestMergedStream:
         assert abs(len(stream) - expected) <= 3 * math.sqrt(expected)
 
     def test_empty_cluster_list(self):
-        spec = WorkloadSpec((), 1.0, 1.0, 2.0, 0)
+        spec = WorkloadSpec((), 1.0, 0)
         stream = merged_arrival_stream(spec, 100.0)
         assert len(stream) == len(stream.hold) == len(stream.class_id) == 0
 
     def test_superposed_rate_within_three_sigma(self):
-        c0 = ClusterSpec(0, 3.0, 3.0, 2.0)
-        c1 = ClusterSpec(1, 5.0, 5.0, 2.0)
-        spec = WorkloadSpec((c0, c1), 1.0, 2.0, 2.0, 7)
+        c0 = ClusterSpec(3.0, 2.0)
+        c1 = ClusterSpec(5.0, 2.0)
+        spec = WorkloadSpec((c0, c1), 1.0, 7)
         horizon = 5_000.0
         stream = merged_arrival_stream(spec, horizon)
         expected = 8.0 * horizon
@@ -156,12 +153,12 @@ class TestMergedStream:
         assert np.all(stream.hold > 0) and np.all(np.isfinite(stream.hold))
 
     def test_holding_times_have_their_cluster_mean(self):
-        c0 = ClusterSpec(0, 10.0, 10.0, 2.0)
-        c1 = ClusterSpec(1, 10.0, 10.0, 10.0)
-        spec = WorkloadSpec((c0, c1), 1.0, 2.0, 10.0, 6)
+        c0 = ClusterSpec(10.0, 2.0)
+        c1 = ClusterSpec(10.0, 10.0)
+        spec = WorkloadSpec((c0, c1), 1.0, 6)
         stream = merged_arrival_stream(spec, 5_000.0)
-        for cluster in spec.clusters:
-            holds = stream.hold[stream.class_id == cluster.class_id]
+        for class_id, cluster in enumerate(spec.clusters):
+            holds = stream.hold[stream.class_id == class_id]
             # five standard errors of an exponential sample mean
             tolerance = 5 * cluster.mean_holding / math.sqrt(len(holds))
             assert holds.mean() == pytest.approx(cluster.mean_holding, abs=tolerance)
@@ -185,17 +182,17 @@ class TestMergedStream:
         "rates", [(2.0, 0.0, 3.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, 5.0), (6.0, 0.0, 0.0)]
     )
     def test_zero_rate_class_never_arrives(self, rates):
-        clusters = tuple(ClusterSpec(c, r, r, 1.0) for c, r in enumerate(rates))
+        clusters = tuple(ClusterSpec(r, 1.0) for r in rates)
         live = {c for c, r in enumerate(rates) if r > 0}
         for seed in range(20):
-            stream = merged_arrival_stream(WorkloadSpec(clusters, 1.0, 1.0, 1.0, seed), 50.0)
+            stream = merged_arrival_stream(WorkloadSpec(clusters, 1.0, seed), 50.0)
             assert set(stream.class_id.tolist()) == live
 
     def test_per_class_counts_are_poisson(self):
         rates = (1.0, 3.0, 6.0)
-        clusters = tuple(ClusterSpec(c, r, r, 2.0) for c, r in enumerate(rates))
+        clusters = tuple(ClusterSpec(r, 2.0) for r in rates)
         horizon = 2_000.0
-        stream = merged_arrival_stream(WorkloadSpec(clusters, 1.0, 2.0, 2.0, 8), horizon)
+        stream = merged_arrival_stream(WorkloadSpec(clusters, 1.0, 8), horizon)
         counts = np.bincount(stream.class_id, minlength=3)
         for count, rate in zip(counts.tolist(), rates):
             mean = rate * horizon
@@ -203,10 +200,10 @@ class TestMergedStream:
 
     @pytest.mark.parametrize("rate, interactive", [(0.0, 0.0), (0.0, 1e-310)])
     def test_no_or_denormal_rate_gives_an_empty_stream_quietly(self, rate, interactive):
-        clusters = tuple(ClusterSpec(c, rate, rate, 1.0, interactive) for c in range(3))
+        clusters = tuple(ClusterSpec(rate, 1.0, interactive) for _ in range(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stream = merged_arrival_stream(WorkloadSpec(clusters, 1.0, 1.0, 1.0, 0), 500.0)
+            stream = merged_arrival_stream(WorkloadSpec(clusters, 1.0, 0), 500.0)
         assert len(stream) == len(stream.hold) == len(stream.class_id) == 0
 
     @pytest.mark.parametrize(
@@ -230,9 +227,9 @@ class TestMergedStream:
     def test_merged_interarrivals_look_exponential(self):
         # small version of the superposition check; the acceptance suite
         # runs the full N=1e4 test
-        c0 = ClusterSpec(0, 2.0, 2.0, 1.0)
-        c1 = ClusterSpec(1, 6.0, 6.0, 1.0)
-        spec = WorkloadSpec((c0, c1), 1.0, 1.0, 1.0, 11)
+        c0 = ClusterSpec(2.0, 1.0)
+        c1 = ClusterSpec(6.0, 1.0)
+        spec = WorkloadSpec((c0, c1), 1.0, 11)
         stream = merged_arrival_stream(spec, 400.0)
         gaps = np.diff(stream.time, prepend=0.0)
         result = scipy.stats.kstest(gaps, scipy.stats.expon(scale=1 / 8.0).cdf)
@@ -240,30 +237,15 @@ class TestMergedStream:
 
 
 class TestWorkloadSpec:
-    def test_request_rate_mismatch_rejected(self):
-        bad = ClusterSpec(0, 4.0, 5.0, 1.0)
-        with pytest.raises(ValueError, match="request_rate"):
-            WorkloadSpec((bad,), 1.0, 1.0, 2.0, 0)
-
-    def test_holding_mean_outside_bounds_rejected(self):
-        bad = ClusterSpec(0, 4.0, 4.0, 10.0)
-        with pytest.raises(ValueError, match="mean_holding"):
-            WorkloadSpec((bad,), 1.0, 1.0, 2.0, 0)
-
     def test_cluster_rejects_nonpositive_hold_and_negative_rate(self):
         with pytest.raises(ValueError, match="mean_holding"):
-            ClusterSpec(0, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="request_rate"):
-            ClusterSpec(0, 1.0, -1.0, 1.0)
+            ClusterSpec(1.0, 0.0)
+        with pytest.raises(ValueError, match="traffic_rate"):
+            ClusterSpec(-1.0, 1.0)
 
     def test_inverted_hold_bounds_rejected(self):
         with pytest.raises(ValueError, match="min <= max"):
-            WorkloadSpec((), 1.0, 5.0, 2.0, 0)
-
-    def test_class_ids_must_be_positions(self):
-        shifted = ClusterSpec(1, 4.0, 4.0, 1.5)
-        with pytest.raises(ValueError, match="class ids"):
-            WorkloadSpec((shifted,), 1.0, 1.0, 2.0, 0)
+            build_workload(2, 1.0, 2.0, 1.0, 5.0, 2.0, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 8, 2**64 - 1])
     def test_with_seed_equals_replace(self, seed):
@@ -285,11 +267,11 @@ class TestWorkloadSpec:
 
     def test_seed_range_enforced(self):
         with pytest.raises(ValueError, match="seed"):
-            WorkloadSpec((), 1.0, 1.0, 2.0, -1)
+            WorkloadSpec((), 1.0, -1)
         with pytest.raises(ValueError, match="seed"):
-            WorkloadSpec((), 1.0, 1.0, 2.0, 2**64)
+            WorkloadSpec((), 1.0, 2**64)
         with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer, got 1.5"):
-            WorkloadSpec((), 1.0, 1.0, 2.0, 1.5)
+            WorkloadSpec((), 1.0, 1.5)
 
     @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), np.uint8(7)])
     def test_integer_seed_of_any_type_draws_the_int_seeds_stream(self, seed):
@@ -302,9 +284,9 @@ class TestWorkloadSpec:
             assert np.array_equal(got.class_id, expected.class_id)
 
     def test_offered_erlangs_sums_rate_times_hold(self):
-        c0 = ClusterSpec(0, 2.0, 2.0, 3.0)
-        c1 = ClusterSpec(1, 4.0, 4.0, 1.5, interactive_rate=1.0)
-        spec = WorkloadSpec((c0, c1), 1.0, 1.0, 4.0, 0)
+        c0 = ClusterSpec(2.0, 3.0)
+        c1 = ClusterSpec(4.0, 1.5, interactive_rate=1.0)
+        spec = WorkloadSpec((c0, c1), 1.0, 0)
         assert spec.offered_erlangs() == pytest.approx(2 * 3.0 + 5 * 1.5)
 
 
@@ -326,8 +308,8 @@ class TestBuildAndScaleWorkload:
         scaled = scale_workload(base, 3.0)
         for b, s in zip(base.clusters, scaled.clusters):
             assert s.traffic_rate == pytest.approx(3.0 * b.traffic_rate)
-            assert s.request_rate == pytest.approx(3.0 * b.request_rate)
             assert s.mean_holding == b.mean_holding
+        assert scaled.arrival_rates() == pytest.approx([3.0 * r for r in base.arrival_rates()])
         assert scaled.offered_erlangs() == pytest.approx(3.0 * base.offered_erlangs())
 
     def test_negative_multiplier_rejected(self):
@@ -362,10 +344,8 @@ def test_erlang_sum_of_k_interarrivals_smoke():
 
 def rate_workload(rates, seed, interactive=0.0):
     """One cluster per rate, bandwidth 1, every holding mean 1.5."""
-    clusters = tuple(
-        ClusterSpec(c, r, r, 1.5, interactive) for c, r in enumerate(rates)
-    )
-    return WorkloadSpec(clusters, 1.0, 1.0, 2.0, seed)
+    clusters = tuple(ClusterSpec(r, 1.5, interactive) for r in rates)
+    return WorkloadSpec(clusters, 1.0, seed)
 
 
 def reference_point(multiplier, seed):
@@ -430,7 +410,9 @@ def replayed_stream(spec, horizon):
     """(time, hold, class_id) by the documented recipe, from a fresh
     generator, with no table, guide or buffer reuse: the times clipped by
     ``np.minimum``, the marks found by bisecting every one."""
-    rates = np.array([c.request_rate + c.interactive_rate for c in spec.clusters])
+    rates = np.array(
+        [c.traffic_rate / spec.per_stream_bandwidth + c.interactive_rate for c in spec.clusters]
+    )
     live = np.flatnonzero(rates > 0)
     bounds = np.cumsum(rates[live])
     total = float(bounds[-1]) if len(live) else 0.0
@@ -490,7 +472,7 @@ def test_guide_table_equals_a_bisection_of_any_uniforms(rates, u):
     total = float(bounds[-1]) if len(live) else 0.0
     u = np.array(u, np.float64)
     expected = np.searchsorted(bounds[:-1], u * total, "right")
-    _, table_total, inner, guide, _ = _stream_tables(rate_workload(rates, 0).clusters)
+    _, table_total, inner, guide, _ = _stream_tables(rate_workload(rates, 0))
     assert table_total == total
     marks = u.copy()
     assert _class_marks(marks, inner, guide, table_total).tolist() == expected.tolist()
@@ -503,7 +485,7 @@ def test_guide_table_equals_a_bisection_of_any_uniforms(rates, u):
 @example([1.0, 1e-17, 1e-17, 0.0, 2.5])
 @example([7.0, 1e-17] * 6)
 def test_guide_marks_exactly_the_cells_a_bound_crosses(rates):
-    live, total, inner, guide, _ = _stream_tables(rate_workload(rates, 0).clusters)
+    live, total, inner, guide, _ = _stream_tables(rate_workload(rates, 0))
     count = len(inner)  # the live classes, or 1 with none
     cells = len(guide)
     assert cells & (cells - 1) == 0 and (cells == 2**16 or 64 * count <= cells < 128 * count)
@@ -620,6 +602,18 @@ class TestWorkloadTables:
             merged_arrival_stream(spec, 50.0)
         )
 
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_load_rebuilds_read_only_tables(self, protocol):
+        for spec in (reference_point(1.0, 7), rate_workload((1.0, 0.0, 2.5), 11)):
+            data = pickle.dumps(spec, protocol)
+            loaded = pickle.loads(data)
+            assert loaded == spec
+            assert_tables_equal(loaded._tables, spec._tables)
+            arrays = [t for t in loaded._tables if isinstance(t, np.ndarray)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+        # the reference pickle holds the fields, not the 2,048-cell guide
+        assert len(pickle.dumps(reference_point(1.0, 7), protocol)) < 2_048 * 8
+
     def test_repr_and_eq_ignore_the_tables(self):
         spec = rate_workload((1.0, 2.0), 3)
         other = rate_workload((1.0, 2.0), 3)
@@ -648,8 +642,8 @@ class TestWorkloadTables:
         for k in range(12):
             rates = [0.0, 0.0, 0.0]
             rates[k % 3] = 5.0
-            c0, c1, c2 = (ClusterSpec(c, r, r, 1.5) for c, r in enumerate(rates))
-            stream = merged_arrival_stream(WorkloadSpec((c0, c1, c2), 1.0, 1.0, 2.0, k), 100.0)
+            c0, c1, c2 = (ClusterSpec(r, 1.5) for r in rates)
+            stream = merged_arrival_stream(WorkloadSpec((c0, c1, c2), 1.0, k), 100.0)
             assert set(stream.class_id.tolist()) == {k % 3}
             del c0, c1, c2, stream
             gc.collect()

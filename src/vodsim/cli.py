@@ -149,9 +149,15 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
     [(_, replications)] = _replications(
         config, workload, [(UNCONTROLLED, UNCONTROLLED_STRATEGY)]
     )
+    empty = sum(m.offered == 0 for m in replications)
+    if 0 < empty < len(replications):
+        raise ConfigurationError(
+            f"{empty} of {len(replications)} replications offered no request after "
+            "the warmup, so their blocking is undefined; raise the load or the horizon"
+        )
     simulated, halfwidth = _stats(replications, blocking_probability)
     if simulated is None:
-        # zero offered traffic: nothing was ever denied
+        # zero offered traffic in every replication: nothing was ever denied
         simulated, halfwidth = 0.0, 0.0
     difference = abs(simulated - analytic)
     return AnalyticComparison(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InternalConsistencyError
 from .metrics import ClassCounts, RunMetrics
-from .traffic import _GATE_TAG, ArrivalStream, WorkloadSpec, merged_arrival_stream
+from .traffic import _GATE_TAG, ArrivalStream, WorkloadSpec, _check_seed, merged_arrival_stream
 
 UNCONTROLLED = "uncontrolled"
 POLICY = "policy"
@@ -242,33 +242,6 @@ def _pooled_admission(
     return admitted
 
 
-def _check_stream(stream: ArrivalStream, num_classes: int, horizon: float) -> None:
-    """Reject a caller-built stream that ``run`` cannot count or admit."""
-    time, hold, class_id = stream.time, stream.hold, stream.class_id
-    if not len(time) == len(hold) == len(class_id):
-        raise ConfigurationError(
-            f"stream arrays differ in length: {len(time)} times, "
-            f"{len(hold)} holds, {len(class_id)} class ids"
-        )
-    if class_id.dtype.kind not in "iu":
-        raise ConfigurationError(f"stream class ids must be integers, got {class_id.dtype}")
-    if len(class_id) and not 0 <= class_id.min() <= class_id.max() < num_classes:
-        raise ConfigurationError(
-            f"stream class ids must lie in [0, {num_classes}), "
-            f"got {class_id.min()} to {class_id.max()}"
-        )
-    # ">=" and "<" are also false for a nan
-    if not np.all(time[1:] >= time[:-1]):
-        raise ConfigurationError("stream times must be in ascending order")
-    # ascending, so the first and last times bound the rest
-    if len(time) and not (time[0] >= 0 and time[-1] < horizon):
-        raise ConfigurationError(
-            f"stream times must lie in [0, {horizon}), got {time[0]} to {time[-1]}"
-        )
-    if not np.all(hold >= 0):
-        raise ConfigurationError("stream holds must be >= 0")
-
-
 def run(
     workload: WorkloadSpec,
     capacities: Sequence[int],
@@ -283,20 +256,19 @@ def run(
     The seed drives everything. The arrival stream is
     ``merged_arrival_stream(workload.with_seed(seed), horizon)``: pass it
     as ``stream`` to share one stream among the strategies run at this
-    seed, or leave ``stream`` out and the run builds it. Policy gate
-    uniforms, one per arrival in arrival order, are drawn from
+    seed, or leave ``stream`` out and the run builds it. Any other stream,
+    one drawn for another workload, seed or horizon or one built by a
+    caller, is a ``ConfigurationError``. Policy gate uniforms, one per
+    arrival in arrival order, are drawn from
     ``default_rng(SeedSequence([_GATE_TAG, seed]))``, a generator apart
     from the stream's, so uncontrolled and policy runs at the same seed see
-    the same arrivals. A ``stream`` built by the caller is checked by
-    ``_check_stream``. A stream that ``merged_arrival_stream`` drew for a
-    workload of as many clusters and for this horizon is not checked
-    again; its arrays are read-only, so it is still as drawn.
+    the same arrivals.
     Counters only include requests arriving at or after warmup; earlier
     requests still evolve the state.
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
-    if strategy.mode == POLICY and len(strategy.gates) < len(workload.clusters):
+    if strategy.mode == POLICY and len(strategy.gates) != len(workload.clusters):
         raise ConfigurationError(
             f"policy gates cover {len(strategy.gates)} classes but the "
             f"workload has {len(workload.clusters)}"
@@ -306,17 +278,15 @@ def run(
     for j, c in enumerate(capacities):
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
             raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
+    _check_seed(seed)  # before the stream check, where a seed of 3.0 equals 3
 
     num_classes = len(workload.clusters)
     if stream is None:
         stream = merged_arrival_stream(workload.with_seed(seed), horizon)
-    elif stream._drawn_for != (num_classes, horizon):
-        _check_stream(stream, num_classes, horizon)
-    # float64 in native order, contiguous: the numpy prefix sums ends in the
-    # same precision as the loop, and the loop's memoryviews can index them
-    times = np.ascontiguousarray(stream.time, np.float64)
-    holds = np.ascontiguousarray(stream.hold, np.float64)
-    classes = stream.class_id.astype(np.intp, copy=False)  # bincount's index type
+    elif stream._drawn_for != (workload.clusters, workload.per_stream_bandwidth, seed, horizon):
+        raise ConfigurationError("the stream was not drawn for this workload, seed and horizon")
+    # drawn arrays are contiguous native float64, class ids intp (bincount's index type)
+    times, holds, classes = stream.time, stream.hold, stream.class_id
     # times are sorted, so the counted arrivals (at or after warmup) are a suffix
     first = int(times.searchsorted(warmup))
     offered = np.bincount(classes[first:], minlength=num_classes).tolist()

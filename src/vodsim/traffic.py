@@ -119,8 +119,9 @@ class ArrivalStream:
     time: np.ndarray
     hold: np.ndarray
     class_id: np.ndarray
-    # (class count, horizon) of a stream that ``merged_arrival_stream`` drew,
-    # with read-only arrays; None for a stream built by a caller
+    # (clusters, per_stream_bandwidth, seed, horizon) of a stream that
+    # ``merged_arrival_stream`` drew, with read-only arrays; None for a
+    # stream built by a caller, which ``engine.run`` refuses
     _drawn_for: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
@@ -254,7 +255,8 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
 
     A class with rate 0 is never marked. A denormal rate needs no guard: it
     only makes the Poisson mean tiny. The arrays are read-only, and the
-    stream records what it was drawn for, so ``engine.run`` need not check it.
+    stream records the workload, seed and horizon it was drawn for:
+    ``engine.run`` runs it for those alone.
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -284,5 +286,6 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
     stream = ArrivalStream(times, holds, index if live is None else live[index])
     for array in (times, holds, stream.class_id):
         array.flags.writeable = False
-    object.__setattr__(stream, "_drawn_for", (len(spec.clusters), horizon))
+    drawn_for = (spec.clusters, spec.per_stream_bandwidth, spec.seed, horizon)
+    object.__setattr__(stream, "_drawn_for", drawn_for)
     return stream

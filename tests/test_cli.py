@@ -226,6 +226,22 @@ class TestCompareAnalytic:
         assert report.simulated_blocking == 0.0
         assert report.passed
 
+    def test_some_empty_replications_are_a_configuration_error(self, tmp_path, capsys):
+        # 1 request per 50 s: 12 of 20 replications offer nothing, and
+        # reading their undefined blocking as 0 gave 0 against Erlang-B 1
+        text = (
+            "num_clusters = 1\nmin_rate = 0.02\nmax_rate = 0.02\n"
+            "per_stream_bandwidth = 1\nnum_partitions = 1\nports_per_partition = 0\n"
+            "min_hold = 1\nmax_hold = 1\nhorizon = 50\nwarmup = 0\nreplications = 20\n"
+        )
+        with pytest.raises(ConfigurationError, match="12 of 20 replications offered no"):
+            compare_analytic(parse_config(text))
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text(text)
+        assert main(["compare-analytic", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "12 of 20 replications" in err
+
     def test_zero_capacity_blocks_everything_in_both(self):
         config = ScenarioConfig(
             num_clusters=1,

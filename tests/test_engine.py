@@ -181,6 +181,14 @@ class TestEffectiveGate:
         with pytest.raises(ConfigurationError, match="class"):
             run(make_workload(1.0, 1.0, num_clusters=3), [1], s, 100.0, 0.0, seed=0)
 
+    @pytest.mark.parametrize("gates", [(0.5,), (0.5, 0.5, 0.0)], ids=["fewer", "more"])
+    def test_gate_count_must_match_class_count(self, gates):
+        # a run with more gates than classes would police by the first ones
+        w = make_workload(1.0, 1.0, num_clusters=2)
+        match = f"policy gates cover {len(gates)} classes but the workload has 2"
+        with pytest.raises(ConfigurationError, match=match):
+            run(w, [1], StrategySpec("policy", gates), 100.0, 0.0, seed=0)
+
     def test_uncontrolled_has_no_gates(self):
         assert UNCONTROLLED_STRATEGY.gates is None
 
@@ -558,60 +566,6 @@ def test_policed_share_is_binomial(seed):
         assert abs(c.policed - c.offered * (1 - gate)) <= 4.5 * sd
 
 
-def strided(a):
-    """A view of a copy of ``a`` that skips every other element."""
-    spaced = np.zeros(2 * len(a), a.dtype)
-    spaced[::2] = a
-    return spaced[::2]
-
-
-@pytest.mark.parametrize(
-    "layout",
-    [strided, lambda a: a.astype(np.float32), lambda a: a.astype(">f8")],
-    ids=["strided", "float32", "big_endian"],
-)
-def test_caller_stream_layout_changes_no_count(layout):
-    # about 92% of arrivals blocked, so most of them reach the loop
-    w = make_workload(6.0, 1.0, num_clusters=2)
-    s = merged_arrival_stream(replace(w, seed=11), 300.0)
-    odd = ArrivalStream(layout(s.time), layout(s.hold), strided(s.class_id))
-    native = ArrivalStream(
-        np.array(odd.time, np.float64), np.array(odd.hold, np.float64), s.class_id
-    )
-    policy = StrategySpec("policy", (0.7, 0.3))
-    for strategy in (UNCONTROLLED_STRATEGY, policy):
-        m = run(w, [1], strategy, 300.0, 30.0, 11, stream=native)
-        assert m.blocked > 0
-        assert run(w, [1], strategy, 300.0, 30.0, 11, stream=odd) == m
-
-
-@pytest.mark.parametrize(
-    "time, hold, class_id, match",
-    [
-        ([1.0, 2.0], [1.0, 1.0], [0, 3], r"class ids must lie in \[0, 1\), got 0 to 3"),
-        ([1.0, 2.0], [1.0, 1.0], [0, -1], r"class ids must lie in \[0, 1\), got -1 to 0"),
-        ([1.0, 2.0], [1.0, 1.0], [0.0, 0.0], "must be integers"),
-        ([2.0, 1.0], [1.0, 1.0], [0, 0], "ascending"),
-        ([1.0, float("nan")], [1.0, 1.0], [0, 0], "ascending"),
-        ([1.0, 2.0], [float("nan"), 1.0], [0, 0], "holds must be >= 0"),
-        ([1.0, 2.0], [-1.0, 1.0], [0, 0], "holds must be >= 0"),
-        ([1.0, 2.0], [1.0, 1.0], [0], "differ in length"),
-        ([float("nan")], [1.0], [0], r"times must lie in \[0, 10.0\), got nan to nan"),
-        ([1.0, 1e9], [1.0, 1.0], [0, 0], r"lie in \[0, 10.0\), got 1.0 to 1000000000.0"),
-        ([1.0, 10.0], [1.0, 1.0], [0, 0], r"lie in \[0, 10.0\), got 1.0 to 10.0"),
-        ([-1.0, 2.0], [1.0, 1.0], [0, 0], r"lie in \[0, 10.0\), got -1.0 to 2.0"),
-    ],
-)
-def test_caller_stream_is_checked(time, hold, class_id, match):
-    # a bad arrival before the warmup would count nothing; one arrival at
-    # nan, or one at or after the horizon, would be counted
-    w = make_workload(1.0, 1.0)
-    stream = ArrivalStream(np.array(time), np.array(hold), np.array(class_id))
-    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0,))):
-        with pytest.raises(ConfigurationError, match=match):
-            run(w, [1], strategy, 10.0, 5.0, 0, stream=stream)
-
-
 def test_drawn_stream_arrays_are_read_only():
     s = merged_arrival_stream(make_workload(2.0, 1.0, num_clusters=3, seed=4), 100.0)
     for array in (s.time, s.hold, s.class_id):
@@ -621,54 +575,62 @@ def test_drawn_stream_arrays_are_read_only():
             array *= 1
 
 
-def _reversed_times(s):
-    return ArrivalStream(s.time[::-1], s.hold, s.class_id)
+def _rebuilt(s):
+    return ArrivalStream(s.time, s.hold, s.class_id)
 
 
-def _one_class_id_minus_one(s):
-    class_id = s.class_id.copy()
-    class_id[len(class_id) // 2] = -1
-    return ArrivalStream(s.time, s.hold, class_id)
+def _copied(s):
+    return ArrivalStream(s.time.copy(), s.hold.copy(), s.class_id.copy())
 
 
-@pytest.mark.parametrize(
-    "edit, match",
-    [
-        (_reversed_times, "ascending"),
-        (_one_class_id_minus_one, r"class ids must lie in \[0, 2\), got -1 to 1"),
-    ],
-    ids=["reversed_times", "class_id_minus_one"],
-)
-def test_stream_rebuilt_from_drawn_arrays_is_checked(edit, match):
-    # run skips the check only for a stream that merged_arrival_stream drew
-    # for this workload and horizon, not for one a caller built from its arrays
+def _built(s):
+    return ArrivalStream(np.array([1.0, 2.0]), np.ones(2), np.zeros(2, np.intp))
+
+
+@pytest.mark.parametrize("build", [_rebuilt, _copied, _built])
+def test_caller_built_stream_is_refused(build):
+    # even one of a drawn stream's own arrays, for this workload, seed and
+    # horizon: run accepts only the stream merged_arrival_stream drew
     w = make_workload(2.0, 1.0, num_clusters=2)
-    stream = edit(merged_arrival_stream(replace(w, seed=5), 100.0))
+    stream = build(merged_arrival_stream(w.with_seed(5), 100.0))
     for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0, 0.5))):
-        with pytest.raises(ConfigurationError, match=match):
+        with pytest.raises(ConfigurationError, match="not drawn for this workload"):
             run(w, [3], strategy, 100.0, 10.0, 5, stream=stream)
 
 
 def test_drawn_stream_run_for_another_workload_or_horizon_is_checked():
     wide = make_workload(2.0, 1.0, num_clusters=3)
-    s = merged_arrival_stream(replace(wide, seed=5), 100.0)
-    assert s.class_id.max() == 2
-    narrow = make_workload(2.0, 1.0, num_clusters=2)
-    with pytest.raises(ConfigurationError, match=r"class ids must lie in \[0, 2\)"):
-        run(narrow, [3], UNCONTROLLED_STRATEGY, 100.0, 10.0, 5, stream=s)
-    with pytest.raises(ConfigurationError, match=r"times must lie in \[0, 50.0\)"):
-        run(wide, [3], UNCONTROLLED_STRATEGY, 50.0, 10.0, 5, stream=s)
+    s = merged_arrival_stream(wide.with_seed(5), 100.0)
+    assert run(wide, [3], UNCONTROLLED_STRATEGY, 100.0, 10.0, 5, stream=s).offered > 0
+    others = [
+        (make_workload(2.0, 1.0, num_clusters=2), 100.0, 5),  # class count
+        (wide, 50.0, 5),  # horizon
+        (wide, 100.0, 6),  # seed
+        (scale_workload(wide, 15.5), 100.0, 5),  # load point, as many classes
+        (replace(wide, per_stream_bandwidth=2.0), 100.0, 5),  # bandwidth
+    ]
+    for workload, horizon, seed in others:
+        with pytest.raises(ConfigurationError, match="not drawn for this workload"):
+            run(workload, [3], UNCONTROLLED_STRATEGY, horizon, 10.0, seed, stream=s)
+
+
+@pytest.mark.parametrize("passed", [False, True], ids=["no_stream", "stream"])
+@pytest.mark.parametrize("seed", [-5, 3.0])
+def test_bad_seed_is_refused_with_or_without_a_stream(seed, passed):
+    # checked before the stream: a drawn stream's seed 3 equals 3.0
+    w = make_workload(2.0, 1.0)
+    stream = merged_arrival_stream(w.with_seed(3), 100.0) if passed else None
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        run(w, [2], UNCONTROLLED_STRATEGY, 100.0, 10.0, seed, stream=stream)
 
 
 @pytest.mark.parametrize("ports", [3, _ROUNDS_MIN_PORTS])
 def test_drawn_stream_runs_as_its_checked_copy(ports):
     w = make_workload(2.0 * ports / 3, 1.5, num_clusters=3)
     s = merged_arrival_stream(replace(w, seed=9), 200.0)
-    copy = ArrivalStream(s.time.copy(), s.hold.copy(), s.class_id.copy())
     for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0, 0.5, 0.2))):
         m = run(w, [ports], strategy, 200.0, 20.0, 9, stream=s)
         assert m.blocked > 0
-        assert run(w, [ports], strategy, 200.0, 20.0, 9, stream=copy) == m
         assert run(w, [ports], strategy, 200.0, 20.0, 9) == m
 
 
@@ -688,18 +650,6 @@ def test_run_that_blocks_nothing_admits_every_entered_arrival(ports, rate):
         assert (m.policed > 0) == (strategy.mode == "policy")
         assert m == reference_run(*args)
         assert run(*args, stream=s) == m
-
-
-def test_narrow_class_ids_count_like_intp():
-    # 60 classes, counted by bincount over ids of any integer type
-    w = make_workload(2.0, 1.0, num_clusters=60)
-    s = merged_arrival_stream(replace(w, seed=5), 200.0)
-    assert s.class_id.max() > 42
-    m = run(w, [20], UNCONTROLLED_STRATEGY, 200.0, 20.0, 5)
-    assert m.blocked > 0
-    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
-        narrow = ArrivalStream(s.time, s.hold, s.class_id.astype(dtype))
-        assert run(w, [20], UNCONTROLLED_STRATEGY, 200.0, 20.0, 5, stream=narrow) == m
 
 
 @st.composite
@@ -762,9 +712,10 @@ def test_per_class_records_are_checked_class_counts(case, data):
 
 def test_negative_class_counts_are_an_internal_error(monkeypatch):
     # flags read as bytes rather than as bools index the arrivals by 1, so
-    # each of the six reads as the second, of class 0, which offered four
+    # each of the n reads as the second, of one class, which offered fewer
     w = make_workload(1.0, 1.0, num_clusters=2)
-    stream = ArrivalStream(np.arange(6.0), np.ones(6), np.array([0, 0, 0, 0, 1, 1]))
+    stream = merged_arrival_stream(w, 10.0)
+    assert 0 < np.bincount(stream.class_id).min() < len(stream)
     monkeypatch.setattr(
         "vodsim.engine._admission", lambda times, holds, ports: np.ones(len(times), np.uint8)
     )

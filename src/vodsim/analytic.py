@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import InternalConsistencyError
+from .errors import ConfigurationError, InternalConsistencyError
 
 if TYPE_CHECKING:
     from .traffic import WorkloadSpec
@@ -34,6 +34,15 @@ def _check_capacity(capacity: int) -> int:
     if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 0:
         raise ValueError(f"capacity must be a non-negative integer, got {capacity!r}")
     return capacity
+
+
+def _check_gate_count(gates: Sequence[float], workload: WorkloadSpec) -> None:
+    """One policy gate per class of the workload."""
+    if len(gates) != len(workload.clusters):
+        raise ConfigurationError(
+            f"policy gates cover {len(gates)} classes but the "
+            f"workload has {len(workload.clusters)}"
+        )
 
 
 def _checked_probability(p: float, context: str) -> float:
@@ -97,13 +106,15 @@ def pooled_blocking(
     ``gates`` is None). It is exact because a request that reaches the
     server is blocked exactly when all ports are busy, Erlang-B does not
     depend on the holding-time law (Sevastyanov 1957), and a Bernoulli gate
-    thins a Poisson stream into a Poisson stream.
+    thins a Poisson stream into a Poisson stream. Any other number of gates
+    than of classes is a ``ConfigurationError``.
     """
     if gates is None:
         gates = (1.0,) * len(workload.clusters)
+    _check_gate_count(gates, workload)
     load = sum(
         g * r * c.mean_holding
-        for g, r, c in zip(gates, workload.arrival_rates(), workload.clusters, strict=True)
+        for g, r, c in zip(gates, workload.arrival_rates(), workload.clusters)
     )
     return erlang_b(load, ports)
 

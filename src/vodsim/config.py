@@ -12,6 +12,7 @@ ignored, unknown keys rejected with the offending line number.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -152,16 +153,26 @@ class ScenarioConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigurationError(message)
-        # expected arrivals of the heaviest run, the top global sweep point
+        # closed-form bounds on the heaviest run, the top global sweep point;
+        # half the largest double covers the rounding of the sums they bound,
+        # and a drawn standard exponential is below 745 (-log of 5e-324)
         top = max(1.0, self.max_rate / self.min_rate) if self.min_rate > 0 else 1.0
         rate = (self.min_rate + self.max_rate) / 2 / self.per_stream_bandwidth
-        arrivals = self.horizon * top * self.num_clusters * (rate + self.interactive_rate)
-        if not arrivals <= MAX_RUN_ARRIVALS:
-            raise ConfigurationError(
-                f"the heaviest run expects {arrivals:.3g} arrivals (from horizon, "
-                f"num_clusters, min_rate, max_rate, per_stream_bandwidth and "
-                f"interactive_rate), more than {MAX_RUN_ARRIVALS:.0e}"
-            )
+        rate = top * self.num_clusters * (rate + self.interactive_rate)
+        rate_keys = "num_clusters, min_rate, max_rate, per_stream_bandwidth, interactive_rate"
+        half = sys.float_info.max / 2
+        for what, bound, limit, keys in [
+            ("top traffic rate", top * self.max_rate, half, "min_rate, max_rate"),
+            ("total request rate", rate, half, rate_keys),
+            ("offered load", rate * self.max_hold, half, f"{rate_keys}, max_hold"),
+            ("session end", self.horizon + 745 * self.max_hold, half, "horizon, max_hold"),
+            ("arrivals", self.horizon * rate, MAX_RUN_ARRIVALS, f"horizon, {rate_keys}"),
+        ]:
+            if not bound <= limit:
+                raise ConfigurationError(
+                    f"the heaviest run's {what} can reach {bound:.3g} (from {keys}), "
+                    f"more than {limit:.3g}"
+                )
 
     def capacities(self) -> list[int]:
         """Equal ports per partition, as a per-partition capacity list."""

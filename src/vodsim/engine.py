@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heappush, heapreplace
+from heapq import heapreplace
 from typing import Sequence
 
 import numpy as np
 
+from .analytic import _check_gate_count
 from .errors import ConfigurationError, InternalConsistencyError
 from .metrics import ClassCounts, RunMetrics
 from .traffic import _GATE_TAG, ArrivalStream, WorkloadSpec, _check_seed, merged_arrival_stream
@@ -95,11 +96,14 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray |
     (busy_i <= i), or p = n when there is none. The one pass over a short
     stream covers n < 4 * (2p + 1) arrivals; on a longer one the last pass
     covers fewer than 4p + 2 and all passes together fewer than 6p + 2.
-    Either way the cost is bounded by the prefix, not by the stream. From
-    there, with the prefix's sessions still in progress,
-    ``_admission_rounds`` takes over on ``_ROUNDS_MIN_PORTS`` ports or
-    more, and ``_pooled_admission`` over memoryviews of the rest of the
-    arrays (no copy) on fewer.
+    Either way the cost is bounded by the prefix, not by the stream.
+    From that arrival s on, a continuation takes over with the prefix's
+    sessions that end at or after times[s]. There are exactly ``ports``:
+    at least ``ports`` by the choice of s, and at most busy_{s-1} + 1 <=
+    ``ports``, since all but arrival s - 1's own were counted at s - 1.
+    Both continuations count one that ends at times[s] as free: the
+    rounds (``_admission_rounds``) on ``_ROUNDS_MIN_PORTS`` ports or more,
+    the heap loop (``_pooled_admission``) on fewer.
     """
     n = len(times)
     w = 2 * ports + 1
@@ -118,21 +122,12 @@ def _admission(times: np.ndarray, holds: np.ndarray, ports: int) -> np.ndarray |
         return None
     start = int(full[0]) + ports
     ends = times[:start] + holds[:start]
-    ends = ends[ends > times[start]]
+    ends = ends[ends >= times[start]]
     ends.sort()
     admitted = np.ones(n, dtype=bool)
-    if ports >= _ROUNDS_MIN_PORTS:
-        admitted[start:] = _admission_rounds(times[start:], holds[start:], ports, ends)
-    else:
-        admitted[start:] = np.frombuffer(
-            _pooled_admission(
-                memoryview(times[start:]),
-                memoryview(holds[start:]),
-                ports,
-                ends.tolist(),
-            ),
-            dtype=bool,
-        )
+    admitted[start:] = (_admission_rounds if ports >= _ROUNDS_MIN_PORTS else _pooled_admission)(
+        times[start:], holds[start:], ports, ends
+    )
     return admitted
 
 
@@ -141,13 +136,13 @@ def _admission_rounds(
 ) -> np.ndarray:
     """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
 
-    ``ends`` holds the sorted end times of at most ``ports`` earlier
-    sessions in progress. Each port keeps a free index, the first arrival
-    at or after its session's end (0 for a port with none). In one round
-    every port whose free index lies in the stream takes the first arrival
-    at or after it that no port has taken yet, the ports in the order of
-    their free indices, and its free index becomes the first arrival at or
-    after the taken arrival's end. In numpy: the sorted free indices q are
+    ``ends`` holds the sorted end times of the latest earlier session on
+    each of the ``ports`` ports. Each port keeps a free index, the first
+    arrival at or after its session's end. In one round every port whose
+    free index lies in the stream takes the first arrival at or after it
+    that no port has taken yet, the ports in the order of their free
+    indices, and its free index becomes the first arrival at or after the
+    taken arrival's end. In numpy: the sorted free indices q are
     ranked among the untaken arrivals, r = q - #(taken < q); port j of the
     order gets rank max(r_k + j - k, k <= j), the first one free of the
     ports before it; and a rank r maps back to the index
@@ -165,18 +160,16 @@ def _admission_rounds(
     progress at its time", which has one solution, the heap loop's. The
     rounds take about admitted / ports numpy steps.
     """
-    if len(ends) > ports:
+    if len(ends) != ports:
         raise InternalConsistencyError(f"{len(ends)} sessions in progress on {ports} ports")
     n = len(times)
     admitted = np.zeros(n, dtype=bool)
-    # a port with no session is free from arrival 0; more such ports than
-    # arrivals never take one. ``ends`` is sorted, so ``free`` is too.
-    free = np.concatenate(
-        (np.zeros(min(ports - len(ends), n), np.intp), times.searchsorted(ends))
-    )
-    free = free[: free.searchsorted(n)]
-    taken = free[:0]
-    while len(free):
+    taken = np.empty(0, np.intp)
+    while True:
+        free = times.searchsorted(ends)  # sorted, as ``ends`` is
+        free = free[: free.searchsorted(n)]
+        if not len(free):
+            return admitted
         taken = taken[taken.searchsorted(free[0]) :]
         order = np.arange(len(free))
         ranks = free - taken.searchsorted(free)
@@ -184,51 +177,37 @@ def _admission_rounds(
         claims = ranks + (taken - np.arange(len(taken))).searchsorted(ranks, "right")
         claims = claims[: claims.searchsorted(n)]  # ascending
         admitted[claims] = True
-        ends = times[claims] + holds[claims]
-        ends.sort()
-        free = times.searchsorted(ends)
-        free = free[: free.searchsorted(n)]
         taken = np.concatenate((taken, claims))
         taken.sort(kind="stable")  # a merge of two ascending runs
-    return admitted
+        ends = times[claims] + holds[claims]
+        ends.sort()
 
 
 def _pooled_admission(
-    times: Sequence[float],
-    holds: Sequence[float],
-    ports: int,
-    departures: list[float],
-) -> bytearray:
+    times: np.ndarray, holds: np.ndarray, ports: int, ends: np.ndarray
+) -> np.ndarray:
     """Admitted flags of the arrivals at sorted ``times`` on ``ports`` ports.
 
-    ``departures`` is a heap of the end times of at most ``ports`` earlier
-    sessions, each holding a port until it ends; the loop consumes it.
-    Arrival i is admitted, and holds a port for ``holds[i]``, when a port is
-    free at ``times[i]``: surely while the heap holds fewer than ``ports``
-    sessions, and after that exactly when the earliest end is at or before
+    ``ends`` holds the sorted end times of the latest earlier session on
+    each of the ``ports`` ports, and as a list it is a heap of them that
+    the loop keeps up to date. Arrival i is admitted, and holds a port for
+    ``holds[i]``, exactly when the earliest end is at or before
     ``times[i]``, whose port it then takes over. Every arrival before that
-    end is blocked, so once the heap is full the loop takes one step per
-    admitted arrival: it admits arrival i, and when the next arrival comes
-    before the new earliest end, bisects for the first arrival at or after
-    it, within the next ``_WINDOW`` arrivals when that end lies among them.
-    Only the arrivals the loop reads are turned into floats.
+    end is blocked, so the loop takes one step per admitted arrival: it
+    admits arrival i, and when the next arrival comes before the new
+    earliest end, bisects for the first arrival at or after it, within the
+    next ``_WINDOW`` arrivals when that end lies among them. The loop reads
+    memoryviews of the arrays (no copy), so only the arrivals it reads are
+    turned into floats.
     """
-    if len(departures) > ports:
-        raise InternalConsistencyError(
-            f"{len(departures)} sessions in progress on {ports} ports"
-        )
+    if len(ends) != ports:
+        raise InternalConsistencyError(f"{len(ends)} sessions in progress on {ports} ports")
     n = len(times)
     admitted = bytearray(n)
-    i = 0
-    while i < n and len(departures) < ports:
-        heappush(departures, times[i] + holds[i])
-        admitted[i] = 1
-        i += 1
-    if not departures:  # no ports at all
-        return admitted
+    times, holds, departures = memoryview(times), memoryview(holds), ends.tolist()
     window = _WINDOW  # a local, as the loop reads it on every blocked run
     last = n - window  # the window after arrival i lies in the stream iff i < last
-    i = bisect_left(times, departures[0], i)
+    i = bisect_left(times, departures[0]) if ports else n
     while i < n:
         heapreplace(departures, times[i] + holds[i])
         admitted[i] = 1
@@ -239,7 +218,7 @@ def _pooled_admission(
                 i = bisect_left(times, end, i + 1, i + window)
             else:
                 i = bisect_left(times, end, i + 1)
-    return admitted
+    return np.frombuffer(admitted, dtype=bool)
 
 
 def run(
@@ -268,11 +247,8 @@ def run(
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
-    if strategy.mode == POLICY and len(strategy.gates) != len(workload.clusters):
-        raise ConfigurationError(
-            f"policy gates cover {len(strategy.gates)} classes but the "
-            f"workload has {len(workload.clusters)}"
-        )
+    if strategy.mode == POLICY:
+        _check_gate_count(strategy.gates, workload)
     if len(capacities) < 1:
         raise ValueError("at least one partition is required")
     for j, c in enumerate(capacities):

@@ -12,6 +12,7 @@ from vodsim.analytic import (
     policy_admission_prob,
     pooled_blocking,
 )
+from vodsim.errors import ConfigurationError
 from vodsim.traffic import ClusterSpec, WorkloadSpec
 
 # Bounded so the recurrence never underflows to exactly 0, which would
@@ -137,8 +138,11 @@ class TestPooledBlocking:
         assert pooled_blocking(w, 4, (1.0, 1.0)) == pooled_blocking(w, 4)
 
     def test_one_gate_per_class(self):
-        with pytest.raises(ValueError):
-            pooled_blocking(self.workload(), 4, (1.0,))
+        # fewer or more gates than classes, refused as engine.run refuses them
+        for gates in [(1.0,), (1.0, 1.0, 1.0)]:
+            message = f"policy gates cover {len(gates)} classes but the workload has 2"
+            with pytest.raises(ConfigurationError, match=message):
+                pooled_blocking(self.workload(), 4, gates)
 
 
 class TestChainBlocking:

@@ -1,9 +1,11 @@
 """Tests for sweep orchestration, analytic comparison, and the CLI surface."""
 
 import hashlib
+import random
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,8 @@ sweep_mode = per_cluster
 replications = 2
 """
 GOLDEN_VARIANT_SHA256 = "abb6e5edd94ccd9037120ec83086c877eca35053fbd83d27c17c65b828426acf"
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(**overrides):
@@ -468,3 +472,92 @@ def test_extreme_value_exits_0_or_2(tmp_path, key, value, command):
     if command == "sweep":
         argv += ["--out", str(tmp_path / "extreme.csv")]
     assert main(argv) in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "command, config, digest",
+    [
+        pytest.param(
+            "sweep",
+            CONFIGS / "erlang_check.cfg",
+            "84826816df54bfc3f5e6e02e7a1d11b788048ea2702ebae38e0a12719e530b72",
+            id="erlang-check-sweep",
+        ),
+        pytest.param(
+            "sweep",
+            "sweep_mode = per_cluster\n",
+            "ea9c913d0afc9dc8bc2262f0bd6a439893cba24b3dc7ecedc0c483fc3978802c",
+            id="per-cluster-sweep",
+        ),
+        pytest.param(
+            "run",
+            CONFIGS / "reference.cfg",
+            "37a1a4ad95b76c566d604394182f07fb7e5c016fc09c66229cb1d62a14763034",
+            id="reference-run",
+        ),
+        pytest.param(
+            "sweep",
+            "strategy = policy\npolicy_preset = capacity_proportional\n"
+            "weight_scaling = max_normalized\n",
+            "95e3723fb18a595bde7f6d2276edd232857e6f387f7b55fd25ff75645b7ba9bb",
+            id="capacity-max-normalized-sweep",
+        ),
+    ],
+)
+def test_pinned_output_digest(tmp_path, command, config, digest):
+    """CSV outputs that no acceptance criterion pins: the 2-port sweep that
+    the heap loop finishes, the per-cluster sweep mode, ``vodsim run --out``
+    and the reference sweep's capacity/max-normalized policy variant."""
+    if isinstance(config, str):
+        (tmp_path / "scenario.cfg").write_text(config)
+        config = tmp_path / "scenario.cfg"
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+FUZZ_KEYS = [
+    "min_rate",
+    "max_rate",
+    "per_stream_bandwidth",
+    "min_hold",
+    "max_hold",
+    "horizon",
+    "warmup",
+    "seed",
+    "interactive_rate",
+]
+FUZZ_EDGES = ["0", "-1", "5e-324", "1e308", "nan", "inf"]
+# a request rate whose sum overflows, and holds that overflow when drawn
+FUZZ_FIXED = [
+    "num_clusters = 2\ninteractive_rate = 1e308\nhorizon = 5e-324\nreplications = 1\n",
+    "max_hold = 1e308\nhorizon = 10\nreplications = 1\n",
+]
+
+
+def fuzz_config(case):
+    """The fixed configs, then one to three of the fuzzed keys set to edge
+    values, drawn from ``random.Random(case)`` on one or two clusters."""
+    if case < len(FUZZ_FIXED):
+        return FUZZ_FIXED[case]
+    rng = random.Random(case)
+    values = {"num_clusters": rng.choice("12"), "replications": "1", "num_partitions": "1"}
+    for key in rng.sample(FUZZ_KEYS, rng.randint(1, 3)):
+        values[key] = rng.choice(FUZZ_EDGES)
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare-analytic"])
+@pytest.mark.parametrize("case", range(96))
+def test_fuzzed_config_exits_0_or_2(tmp_path, capsys, case, command):
+    """Every case runs, or is a configuration error, without an exception
+    or a warning (which the test settings make an error)."""
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text(fuzz_config(case))
+    argv = [command, "--config", str(cfg)]
+    if command != "compare-analytic":
+        argv += ["--out", str(tmp_path / "fuzz.csv")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 if case < len(FUZZ_FIXED) else code in (0, 2)
+    assert (code == 2) == err.startswith("configuration error: "), err

@@ -118,6 +118,35 @@ class TestParseErrors:
         with pytest.raises(ConfigurationError, match="arrivals.*horizon = 2700000"):
             parse_config("horizon = 2.7e6")
 
+    @pytest.mark.parametrize(
+        "text, bound",
+        [
+            # the rates' sum overflows, though a tiny horizon keeps the
+            # expected arrivals below the arrival bound
+            (
+                "num_clusters = 2\ninteractive_rate = 1e308\nhorizon = 5e-324",
+                "total request rate",
+            ),
+            ("max_hold = 1e308\nhorizon = 10", "offered load"),
+            ("min_hold = 1e308\nmax_hold = 1e308\ninteractive_rate = 1", "offered load"),
+            # no traffic, so only an end of a drawn hold could overflow
+            ("min_rate = 0\nmax_rate = 0\nmax_hold = 1e307", "session end"),
+            (
+                "min_rate = 1e200\nmax_rate = 1e300\n"
+                "per_stream_bandwidth = 1e308\nhorizon = 1e-90",
+                "top traffic rate",
+            ),
+        ],
+        ids=["rate-sum", "hold", "both-holds", "idle-hold", "scaled-traffic-rate"],
+    )
+    def test_heaviest_run_stays_below_the_largest_double(self, text, bound):
+        with pytest.raises(ConfigurationError, match=f"heaviest run's {bound}"):
+            parse_config(text)
+
+    def test_huge_finite_values_within_the_bounds_are_accepted(self):
+        assert parse_config("min_rate = 0\nmax_rate = 0\nmax_hold = 1e305").max_hold == 1e305
+        assert parse_config("max_hold = 1e300").max_hold == 1e300
+
     def test_partition_count_bounded(self):
         assert parse_config("num_partitions = 1000000").num_partitions == 10**6
         with pytest.raises(ConfigurationError, match="num_partitions"):

@@ -1,7 +1,6 @@
 """Tests for strategies and full simulation runs, and for the per-partition
 reference engine that ``run`` is checked against."""
 
-import heapq
 import math
 import random
 from dataclasses import replace
@@ -323,24 +322,23 @@ class TestRun:
         assert blocking_probability(m_with) > blocking_probability(m_without)
 
 
+def start_ends(ports, ends=()):
+    """The sorted ends of one session per port: ``ends``, in any order, and
+    sessions that ended at -inf on the ports that they leave free."""
+    return np.sort(np.array([-math.inf] * (ports - len(ends)) + list(ends), float))
+
+
 def admission_flags(times, holds, ports):
     """Admitted flags of ``_admission``, checked against the heap loop and the
-    rounds, each over the whole stream, at any port count. ``_admission``
-    returns None, and builds no flags, only when it admits every arrival."""
+    rounds, each over the whole stream from free ports, at any port count.
+    ``_admission`` returns None, and builds no flags, only when it admits
+    every arrival."""
     times, holds = np.array(times, float), np.array(holds, float)
     flags = _admission(times, holds, ports)
-    loop = [bool(f) for f in _pooled_admission(memoryview(times), memoryview(holds), ports, [])]
     flags = [True] * len(times) if flags is None else flags.tolist()
-    assert flags == loop
-    assert _admission_rounds(times, holds, ports, np.empty(0)).tolist() == flags
+    assert _pooled_admission(times, holds, ports, start_ends(ports)).tolist() == flags
+    assert _admission_rounds(times, holds, ports, start_ends(ports)).tolist() == flags
     return flags
-
-
-def admission_rounds(times, holds, ports, ends):
-    """``_admission_rounds`` on lists, the start sessions' ends in any order."""
-    return _admission_rounds(
-        np.array(times, float), np.array(holds, float), ports, np.sort(np.array(ends, float))
-    )
 
 
 def direct_count(times, holds, ports, ends=()):
@@ -383,22 +381,26 @@ class TestPooledAdmission:
         assert admission_flags([0.0, 1.0], [1.0, 1.0], 0) == [0, 0]
 
     def test_initial_departures_hold_ports(self):
-        assert list(_pooled_admission([5.0], [1.0], 1, [6.0])) == [0]
-        assert list(_pooled_admission([5.0], [1.0], 1, [5.0])) == [1]
+        one = np.array([5.0]), np.array([1.0])
+        assert _pooled_admission(*one, 1, np.array([6.0])).tolist() == [False]
+        assert _pooled_admission(*one, 1, np.array([5.0])).tolist() == [True]
 
     @pytest.mark.parametrize(
-        "ports, admit",
+        "ports, sessions, admit",
         [
-            pytest.param(0, _pooled_admission, id="0"),
-            pytest.param(2, _pooled_admission, id="2"),
-            pytest.param(0, admission_rounds, id="rounds-0"),
-            pytest.param(2, admission_rounds, id="rounds-2"),
+            pytest.param(0, 1, _pooled_admission, id="0"),
+            pytest.param(2, 3, _pooled_admission, id="2"),
+            pytest.param(0, 1, _admission_rounds, id="rounds-0"),
+            pytest.param(2, 3, _admission_rounds, id="rounds-2"),
+            pytest.param(2, 1, _pooled_admission, id="fewer-2"),
+            pytest.param(2, 1, _admission_rounds, id="rounds-fewer-2"),
         ],
     )
-    def test_more_sessions_than_ports_is_an_internal_error(self, ports, admit):
-        departures = [6.0 + k for k in range(ports + 1)]
+    def test_more_sessions_than_ports_is_an_internal_error(self, ports, sessions, admit):
+        # a continuation starts from exactly one session per port
+        ends = 6.0 + np.arange(sessions, dtype=float)
         with pytest.raises(InternalConsistencyError, match="sessions in progress"):
-            admit([5.0], [1.0], ports, departures)
+            admit(np.array([5.0]), np.array([1.0]), ports, ends)
 
     def test_zero_hold_tie_with_the_first_full_arrival(self):
         # the zero hold at 1 ends when it arrives, at the time of the first
@@ -431,20 +433,15 @@ class TestPooledAdmission:
     )
     def test_start_heap_matches_a_direct_count(self, arrivals, ends, data):
         # sessions in progress at the start, at most one per port, end
-        # before, at and after the first arrival, ties included; the loop
-        # reads lists and, as in production, memoryviews of float64 arrays;
-        # the rounds read the arrays and the sorted ends
+        # before, at and after the first arrival, ties included; the ports
+        # they leave free start from sessions that ended at -inf
         ports = data.draw(st.integers(len(ends), len(ends) + len(arrivals)))
         arrivals.sort(key=lambda a: a[0])
-        times = [float(t) for t, _ in arrivals]
-        holds = [float(h) for _, h in arrivals]
-        expected = direct_count(times, holds, ports, ends)
-        for seq in (list, lambda x: memoryview(np.array(x, np.float64))):
-            departures = [float(e) for e in ends]
-            heapq.heapify(departures)
-            flags = _pooled_admission(seq(times), seq(holds), ports, departures)
-            assert [bool(f) for f in flags] == expected
-        assert admission_rounds(times, holds, ports, ends).tolist() == expected
+        times = np.array([t for t, _ in arrivals], float)
+        holds = np.array([h for _, h in arrivals], float)
+        expected = direct_count(times.tolist(), holds.tolist(), ports, ends)
+        for admit in (_pooled_admission, _admission_rounds):
+            assert admit(times, holds, ports, start_ends(ports, ends)).tolist() == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -756,5 +753,5 @@ def test_reference_sweep_streams_admit_alike_on_both_paths(point):
     s = merged_arrival_stream(replace(workload, seed=seed), config.horizon)
     flags = _admission(s.time, s.hold, ports)
     assert not flags.all()  # every point blocks at these seeds, so it reaches the rounds
-    loop = _pooled_admission(memoryview(s.time), memoryview(s.hold), ports, [])
-    assert flags.tolist() == [bool(f) for f in loop]
+    loop = _pooled_admission(s.time, s.hold, ports, start_ends(ports))
+    assert flags.tolist() == loop.tolist()

@@ -25,7 +25,7 @@ import numpy as np
 from .analytic import _check_gate_count
 from .errors import ConfigurationError, InternalConsistencyError
 from .metrics import ClassCounts, RunMetrics
-from .traffic import _GATE_TAG, ArrivalStream, WorkloadSpec, _check_seed, merged_arrival_stream
+from .traffic import _GATE_TAG, ArrivalStream, WorkloadSpec, merged_arrival_stream
 
 UNCONTROLLED = "uncontrolled"
 POLICY = "policy"
@@ -235,9 +235,10 @@ def run(
     The seed drives everything. The arrival stream is
     ``merged_arrival_stream(workload.with_seed(seed), horizon)``: pass it
     as ``stream`` to share one stream among the strategies run at this
-    seed, or leave ``stream`` out and the run builds it. Any other stream,
-    one drawn for another workload, seed or horizon or one built by a
-    caller, is a ``ConfigurationError``. Policy gate uniforms, one per
+    seed, or leave ``stream`` out and the run builds it. A stream drawn for
+    an equal workload, seed and horizon is that stream; any other, one
+    drawn for another workload, seed or horizon or one built by a caller,
+    is a ``ConfigurationError``. Policy gate uniforms, one per
     arrival in arrival order, are drawn from
     ``default_rng(SeedSequence([_GATE_TAG, seed]))``, a generator apart
     from the stream's, so uncontrolled and policy runs at the same seed see
@@ -254,12 +255,12 @@ def run(
     for j, c in enumerate(capacities):
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
             raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
-    _check_seed(seed)  # before the stream check, where a seed of 3.0 equals 3
+    spec = workload.with_seed(seed)  # checks the seed before the record, where 3.0 equals 3
 
     num_classes = len(workload.clusters)
     if stream is None:
-        stream = merged_arrival_stream(workload.with_seed(seed), horizon)
-    elif stream._drawn_for != (workload.clusters, workload.per_stream_bandwidth, seed, horizon):
+        stream = merged_arrival_stream(spec, horizon)
+    elif stream._drawn_for != (spec, horizon):
         raise ConfigurationError("the stream was not drawn for this workload, seed and horizon")
     # drawn arrays are contiguous native float64, class ids intp (bincount's index type)
     times, holds, classes = stream.time, stream.hold, stream.class_id

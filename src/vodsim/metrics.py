@@ -36,48 +36,10 @@ ClassCounts.__doc__ = """Post-warmup (offered, admitted, policed, blocked) count
 request class; it checks nothing."""
 
 
-@dataclass(frozen=True)
-class RunMetrics:
-    """Counters from one simulation run, totals plus a per-class breakdown.
-
-    Calling the class checks the counts. ``RunMetrics._make(fields)`` does
-    not: it is for a caller that has already checked them, as
-    ``engine.run`` has.
-    """
-
-    offered: int
-    admitted: int
-    policed: int
-    blocked: int
-    per_class: tuple[ClassCounts, ...]
-    seed: int
-
-    def __post_init__(self) -> None:
-        totals = (self.offered, self.admitted, self.policed, self.blocked)
-        for name, v in zip(_COUNTS, totals):
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"totals: {name} must be a non-negative integer, got {v!r}")
-        if self.offered != self.admitted + self.policed + self.blocked:
-            raise ValueError(
-                f"totals: conservation violated: offered {self.offered} != "
-                f"admitted {self.admitted} + policed {self.policed} + blocked {self.blocked}"
-            )
-        if not isinstance(self.per_class, tuple):
-            object.__setattr__(self, "per_class", tuple(self.per_class))
-        # each ClassCounts is a tuple, so the columns zip, to nothing when
-        # there are no classes
-        sums = map(sum, zip(*self.per_class))
-        for name, total, expected in zip(_COUNTS, sums, totals):
-            if total != expected:
-                raise ValueError(
-                    f"per-class {name} sums to {total}, totals say {expected}"
-                )
-
-    @classmethod
-    def _make(cls, values) -> RunMetrics:
-        m = object.__new__(cls)
-        m.__dict__.update(zip((*_COUNTS, "per_class", "seed"), values))
-        return m
+RunMetrics = namedtuple("RunMetrics", (*_COUNTS, "per_class", "seed"))
+RunMetrics.__doc__ = """Post-warmup counts of one simulation run: the totals, a
+``ClassCounts`` per class and the run seed. It checks nothing: ``engine.run``,
+which counts nested subsets of the arrivals, checks that every count is >= 0."""
 
 
 def blocking_probability(m, scope: str = "server") -> float:

@@ -119,9 +119,9 @@ class ArrivalStream:
     time: np.ndarray
     hold: np.ndarray
     class_id: np.ndarray
-    # (clusters, per_stream_bandwidth, seed, horizon) of a stream that
-    # ``merged_arrival_stream`` drew, with read-only arrays; None for a
-    # stream built by a caller, which ``engine.run`` refuses
+    # the (spec, horizon) of a stream that ``merged_arrival_stream`` drew,
+    # with read-only arrays; None for a stream built by a caller, which
+    # ``engine.run`` refuses
     _drawn_for: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
@@ -179,18 +179,17 @@ def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
 
 
 def _stream_tables(spec: WorkloadSpec) -> tuple:
-    """The per-workload constants of a stream: ``(live, total, inner, guide, means)``.
+    """The per-workload constants of a stream: ``(total, inner, guide, means)``.
 
-    - ``live``: the ids of the classes with a rate > 0, or None when every
-      class is live;
-    - ``total``: the last of ``bounds``, the cumulative rates of the live
-      classes (0.0 with none);
+    - ``total``: the last of ``bounds``, the cumulative rates of the classes
+      up to the last one with a rate > 0 (0.0 with none); the zero-rate
+      classes after it are left out;
     - ``inner``: the inner bounds ``bounds[:-1]``, then inf;
     - ``guide``: for each cell k of M equal cells of [0, 1), the class of
       every u in it, or -1 when the searches of its edge marks
       fl((k / M) * total) and fl(((k + 1) / M) * total) in ``inner`` differ;
-      M is a power of two, about 64 per live class and at most 2**16;
-    - ``means``: the holding means of the live classes.
+      M is a power of two, about 64 per bound and at most 2**16;
+    - ``means``: the holding means of all classes.
 
     ``WorkloadSpec`` builds them once and every replication of a sweep point
     shares them, so the arrays are read-only.
@@ -199,18 +198,16 @@ def _stream_tables(spec: WorkloadSpec) -> tuple:
     # a derived rate overflows where its inputs do not: 1.0 / 1e-310 is inf
     if not math.isfinite(sum(rates)):
         raise ValueError("the arrival rates must be finite, and so must their sum")
-    rates = np.array(rates)
-    live = np.flatnonzero(rates > 0)
-    bounds = np.cumsum(rates[live])
-    total = float(bounds[-1]) if len(live) else 0.0
+    bounds = np.cumsum(np.trim_zeros(np.array(rates), "b"))
+    total = float(bounds[-1]) if len(bounds) else 0.0
     inner = np.append(bounds[:-1], np.inf)
     cells = 1 << min(16, (64 * len(inner) - 1).bit_length())
     edges = np.searchsorted(inner, np.arange(cells + 1) / cells * total, "right")
     guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
-    means = np.array([c.mean_holding for c in spec.clusters])[live]
-    for table in (live, inner, guide, means):
+    means = np.array([c.mean_holding for c in spec.clusters])
+    for table in (inner, guide, means):
         table.flags.writeable = False
-    return (None if len(live) == len(rates) else live, total, inner, guide, means)
+    return total, inner, guide, means
 
 
 def _class_marks(
@@ -220,13 +217,15 @@ def _class_marks(
 
     ``inner`` and ``guide`` come from ``_stream_tables``: searching only
     the inner bounds maps every mark, even one that rounds up to the total,
-    onto a live class. With M = len(guide), a power of two, u * M and
-    k / M are exact, and rounding is monotone, so a u in cell k has a mark
-    fl(u * total) between the cell's edge marks: a cell whose edges find
-    one class finds it for every u in it. A cell marked -1 has an inner
-    bound above its lower edge and at or below its upper one, so at most
-    live - 1 cells are; only their arrivals (under 1.5% at the reference
-    load) are bisected.
+    onto the last class with a rate > 0. A zero-rate class before it has
+    an empty interval [b, b), which a "right" search never returns, so the
+    search gives the class id itself. With M = len(guide), a power of two,
+    u * M and k / M are exact, and rounding is monotone, so a u in cell k
+    has a mark fl(u * total) between the cell's edge marks: a cell whose
+    edges find one class finds it for every u in it. A cell marked -1 has
+    an inner bound above its lower edge and at or below its upper one, so
+    at most len(inner) - 1 cells are; only their arrivals (under 1.5% at
+    the reference load) are bisected.
     """
     index = guide[(u * len(guide)).astype(np.intp)]
     unsure = np.flatnonzero(index < 0)
@@ -255,18 +254,17 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
 
     A class with rate 0 is never marked. A denormal rate needs no guard: it
     only makes the Poisson mean tiny. The arrays are read-only, and the
-    stream records the workload, seed and horizon it was drawn for:
-    ``engine.run`` runs it for those alone.
+    stream records the ``(spec, horizon)`` it was drawn for: ``engine.run``
+    runs it for an equal workload, seed and horizon alone.
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    live, total, inner, guide, means = spec._tables
+    total, inner, guide, means = spec._tables
     rng = np.random.default_rng(np.random.SeedSequence([_ARRIVAL_TAG, spec.seed]))
     n = int(rng.poisson(total * horizon))
     # Three n-length buffers hold the stream: the exponentials become the
     # sums and then the times, the uniforms are marked and then become the
-    # holds, and the class ids are the guide's lookup (gathered through
-    # ``live`` when some class has rate 0).
+    # holds, and the class ids are the guide's lookup.
     sums = rng.standard_exponential(n + 1)
     np.cumsum(sums, out=sums)
     times = sums[:n]
@@ -283,9 +281,8 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
     index = _class_marks(u, inner, guide, total)
     holds = rng.standard_exponential(n, out=u)
     holds *= means[index]
-    stream = ArrivalStream(times, holds, index if live is None else live[index])
-    for array in (times, holds, stream.class_id):
+    for array in (times, holds, index):
         array.flags.writeable = False
-    drawn_for = (spec.clusters, spec.per_stream_bandwidth, spec.seed, horizon)
-    object.__setattr__(stream, "_drawn_for", drawn_for)
+    stream = ArrivalStream(times, holds, index)
+    object.__setattr__(stream, "_drawn_for", (spec, horizon))
     return stream

@@ -4,6 +4,7 @@ import hashlib
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -502,12 +503,19 @@ def test_extreme_value_exits_0_or_2(tmp_path, key, value, command):
             "95e3723fb18a595bde7f6d2276edd232857e6f387f7b55fd25ff75645b7ba9bb",
             id="capacity-max-normalized-sweep",
         ),
+        pytest.param(
+            "sweep",
+            "min_rate = 0\nsweep_mode = per_cluster\nreplications = 4\n",
+            "c3c5c080929c7d986dabeab6b06a41956d8da7c34825bdf2dfd78ae169981ccb",
+            id="zero-rate-class-per-cluster-sweep",
+        ),
     ],
 )
 def test_pinned_output_digest(tmp_path, command, config, digest):
     """CSV outputs that no acceptance criterion pins: the 2-port sweep that
-    the heap loop finishes, the per-cluster sweep mode, ``vodsim run --out``
-    and the reference sweep's capacity/max-normalized policy variant."""
+    the heap loop finishes, the per-cluster sweep mode, ``vodsim run --out``,
+    the reference sweep's capacity/max-normalized policy variant, and a
+    per-cluster sweep whose class 0 has rate 0."""
     if isinstance(config, str):
         (tmp_path / "scenario.cfg").write_text(config)
         config = tmp_path / "scenario.cfg"
@@ -535,11 +543,64 @@ FUZZ_FIXED = [
 ]
 
 
+EDGE_CASES = 96
+
+IN_RANGE_BASE = {
+    "replications": "1",
+    "num_clusters": "2",
+    "min_rate": "1",
+    "max_rate": "4",
+    "per_stream_bandwidth": "1",
+    "horizon": "20",
+    "max_hold": "5",
+    "num_partitions": "1",
+    "ports_per_partition": "3",
+}
+# A min_rate of 0 gives class 0 rate 0, which a per-cluster sweep runs and a
+# global sweep refuses.
+IN_RANGE_VALUES = {
+    "replications": ["1", "2", "3"],
+    "num_clusters": ["1", "2", "3", "5"],
+    "min_rate": ["0", "0.5", "1", "2"],
+    "max_rate": ["2", "4", "8"],
+    "per_stream_bandwidth": ["0.5", "1", "2"],
+    "num_partitions": ["1", "2", "3"],
+    "ports_per_partition": ["0", "1", "3", "70"],
+    "min_hold": ["0.5", "1", "2"],
+    "max_hold": ["2", "5", "10"],
+    "horizon": ["5", "20", "50"],
+    "warmup": ["0", "1", "4"],
+    "seed": ["0", "7", str(2**63)],
+    "strategy": ["uncontrolled", "policy", "both"],
+    "policy_preset": ["uniform", "capacity_proportional"],
+    "weight_scaling": ["literal", "max_normalized"],
+    "interactive_rate": ["0", "0.5"],
+    "sweep_mode": ["global", "per_cluster"],
+}
+
+
+def in_range_config(case):
+    """The in-range base config with three to eight keys redrawn from their
+    sets, drawn from ``random.Random(10_000 + case)``. 70 ports a partition
+    come as 2 x 70 ports, past ``_ROUNDS_MIN_PORTS``, with 0.01 Mb/s
+    sessions, hundreds of erlangs that fill them, so the rounds run."""
+    rng = random.Random(10_000 + case)
+    values = dict(IN_RANGE_BASE)
+    for key in rng.sample(sorted(IN_RANGE_VALUES), rng.randint(3, 8)):
+        values[key] = rng.choice(IN_RANGE_VALUES[key])
+    if values["ports_per_partition"] == "70":
+        values.update(num_partitions="2", per_stream_bandwidth="0.01")
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
 def fuzz_config(case):
     """The fixed configs, then one to three of the fuzzed keys set to edge
-    values, drawn from ``random.Random(case)`` on one or two clusters."""
+    values, drawn from ``random.Random(case)`` on one or two clusters; from
+    case ``EDGE_CASES`` on, ``in_range_config(case - EDGE_CASES)``."""
     if case < len(FUZZ_FIXED):
         return FUZZ_FIXED[case]
+    if case >= EDGE_CASES:
+        return in_range_config(case - EDGE_CASES)
     rng = random.Random(case)
     values = {"num_clusters": rng.choice("12"), "replications": "1", "num_partitions": "1"}
     for key in rng.sample(FUZZ_KEYS, rng.randint(1, 3)):
@@ -547,17 +608,42 @@ def fuzz_config(case):
     return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
-@pytest.mark.parametrize("command", ["run", "sweep", "compare-analytic"])
-@pytest.mark.parametrize("case", range(96))
-def test_fuzzed_config_exits_0_or_2(tmp_path, capsys, case, command):
-    """Every case runs, or is a configuration error, without an exception
-    or a warning (which the test settings make an error)."""
+def run_config(tmp_path, capsys, text, command):
+    """``main``'s exit code and stderr for ``command`` on a config of ``text``."""
     cfg = tmp_path / "fuzz.cfg"
-    cfg.write_text(fuzz_config(case))
+    cfg.write_text(text)
     argv = [command, "--config", str(cfg)]
     if command != "compare-analytic":
         argv += ["--out", str(tmp_path / "fuzz.csv")]
     code = main(argv)
-    err = capsys.readouterr().err
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare-analytic"])
+@pytest.mark.parametrize("case", range(2 * EDGE_CASES))
+def test_fuzzed_config_exits_0_or_2(tmp_path, capsys, case, command):
+    """Every case runs, or is a configuration error, without an exception
+    or a warning (which the test settings make an error)."""
+    code, err = run_config(tmp_path, capsys, fuzz_config(case), command)
     assert code == 2 if case < len(FUZZ_FIXED) else code in (0, 2)
     assert (code == 2) == err.startswith("configuration error: "), err
+
+
+def test_in_range_configs_mostly_run_through_both_admission_paths(
+    tmp_path, capsys, monkeypatch
+):
+    calls = Counter()
+    for name in ("_admission_rounds", "_pooled_admission"):
+        def counted(*args, admission=getattr(vodsim.engine, name), name=name):
+            calls[name] += 1
+            return admission(*args)
+
+        monkeypatch.setattr(vodsim.engine, name, counted)
+    # the in-range cases of test_fuzzed_config_exits_0_or_2, counted
+    codes = Counter(
+        run_config(tmp_path, capsys, in_range_config(case), command)[0]
+        for case in range(EDGE_CASES)
+        for command in ("run", "sweep", "compare-analytic")
+    )
+    assert set(codes) <= {0, 2} and codes[0] >= 250, codes
+    assert calls["_admission_rounds"] and calls["_pooled_admission"], calls

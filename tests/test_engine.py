@@ -598,7 +598,13 @@ def test_caller_built_stream_is_refused(build):
 def test_drawn_stream_run_for_another_workload_or_horizon_is_checked():
     wide = make_workload(2.0, 1.0, num_clusters=3)
     s = merged_arrival_stream(wide.with_seed(5), 100.0)
-    assert run(wide, [3], UNCONTROLLED_STRATEGY, 100.0, 10.0, 5, stream=s).offered > 0
+    m = run(wide, [3], UNCONTROLLED_STRATEGY, 100.0, 10.0, 5, stream=s)
+    assert m.offered > 0
+    # the record compares by value: an equal workload built afresh, with
+    # its own clusters tuple and tables, runs the stream as its own
+    fresh = make_workload(2.0, 1.0, num_clusters=3)
+    assert fresh.clusters is not wide.clusters and fresh._tables is not wide._tables
+    assert run(fresh, [3], UNCONTROLLED_STRATEGY, 100.0, 10.0, 5, stream=s) == m
     others = [
         (make_workload(2.0, 1.0, num_clusters=2), 100.0, 5),  # class count
         (wide, 50.0, 5),  # horizon

@@ -18,6 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapreplace
+from itertools import repeat
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -252,9 +254,11 @@ def run(
         _check_gate_count(strategy.gates, workload)
     if len(capacities) < 1:
         raise ValueError("at least one partition is required")
-    for j, c in enumerate(capacities):
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-            raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
+    if not all(type(c) is int and c >= 0 for c in capacities):
+        for j, c in enumerate(capacities):
+            if not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 0:
+                raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
+        capacities = [int(c) for c in capacities]
     spec = workload.with_seed(seed)  # checks the seed before the record, where 3.0 equals 3
 
     num_classes = len(workload.clusters)
@@ -270,8 +274,8 @@ def run(
     entered = offered
     if strategy.mode == POLICY:
         gate_rng = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed]))
-        passed = gate_rng.random(len(stream)) < np.array(strategy.gates)[classes]
-        times, holds, classes = times[passed], holds[passed], classes[passed]
+        passed = np.flatnonzero(gate_rng.random(len(stream)) < np.array(strategy.gates)[classes])
+        times, holds, classes = times.take(passed), holds.take(passed), classes.take(passed)
         first = int(times.searchsorted(warmup))
         entered = np.bincount(classes[first:], minlength=num_classes).tolist()
     admitted = _admission(times, holds, sum(capacities))
@@ -280,11 +284,12 @@ def run(
         admits = np.bincount(classes[first:][admitted[first:]], minlength=num_classes).tolist()
     # each count is of a subset of the arrivals of the one before, so every
     # column is >= 0, and offered = admitted + policed + blocked by arithmetic
-    policed = [o - e for o, e in zip(offered, entered)]
-    blocked = [e - a for e, a in zip(entered, admits)]
-    per_class = tuple(map(ClassCounts._make, zip(offered, admits, policed, blocked)))
+    policed = list(map(sub, offered, entered))
+    blocked = list(map(sub, entered, admits))
+    # tuple.__new__ is what the named tuples' _make calls, less its length check
+    counts = zip(offered, admits, policed, blocked)
+    per_class = tuple(map(tuple.__new__, repeat(ClassCounts), counts))
     if min(policed, default=0) < 0 or min(blocked, default=0) < 0:
         raise InternalConsistencyError(f"negative per-class counts {per_class}")
-    return RunMetrics._make(
-        (sum(offered), sum(admits), sum(policed), sum(blocked), per_class, seed)
-    )
+    totals = (sum(offered), sum(admits), sum(policed), sum(blocked), per_class, int(seed))
+    return tuple.__new__(RunMetrics, totals)

@@ -227,9 +227,13 @@ def _class_marks(
     at most len(inner) - 1 cells are; only their arrivals (under 1.5% at
     the reference load) are bisected.
     """
-    index = guide[(u * len(guide)).astype(np.intp)]
-    unsure = np.flatnonzero(index < 0)
-    index[unsure] = np.searchsorted(inner, u[unsure] * total, "right")
+    # u * M in [0, M) truncates to u's cell as astype(np.intp) does, so "clip" clips
+    # nothing; unlike "raise" it does not buffer ``out``: the lookup overwrites in place
+    index = np.empty(len(u), np.intp)
+    np.multiply(u, len(guide), out=index, casting="unsafe")
+    guide.take(index, out=index, mode="clip")
+    unsure = (index < 0).nonzero()[0]
+    index[unsure] = inner.searchsorted(u[unsure] * total, "right")
     return index
 
 
@@ -264,7 +268,8 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
     n = int(rng.poisson(total * horizon))
     # Three n-length buffers hold the stream: the exponentials become the
     # sums and then the times, the uniforms are marked and then become the
-    # holds, and the class ids are the guide's lookup.
+    # holds, and the guide's lookup gives the class ids. Besides them only a
+    # gather of the holding means and a byte mask of the arrivals to bisect are n long.
     sums = rng.standard_exponential(n + 1)
     np.cumsum(sums, out=sums)
     times = sums[:n]
@@ -280,7 +285,7 @@ def merged_arrival_stream(spec: WorkloadSpec, horizon: float) -> ArrivalStream:
     u = rng.random(n)
     index = _class_marks(u, inner, guide, total)
     holds = rng.standard_exponential(n, out=u)
-    holds *= means[index]
+    holds *= means.take(index)
     for array in (times, holds, index):
         array.flags.writeable = False
     stream = ArrivalStream(times, holds, index)

@@ -34,7 +34,7 @@ from vodsim.engine import (
     run,
 )
 from vodsim.errors import ConfigurationError, InternalConsistencyError
-from vodsim.metrics import ClassCounts, blocking_probability
+from vodsim.metrics import ClassCounts, RunMetrics, blocking_probability
 from vodsim.traffic import (
     ArrivalStream,
     ClusterSpec,
@@ -273,13 +273,24 @@ class TestRun:
             run(w, [1], UNCONTROLLED_STRATEGY, 100.0, 100.0, seed=0)
 
     def test_rejects_negative_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            run(make_workload(1.0, 1.0), [2, -1], UNCONTROLLED_STRATEGY, 10.0, 0.0, 0)
+        for bad in (-1, np.int64(-1)):
+            with pytest.raises(ValueError, match=r"capacity\[1\] must be a non-negative"):
+                run(make_workload(1.0, 1.0), [2, bad], UNCONTROLLED_STRATEGY, 10.0, 0.0, 0)
 
     def test_rejects_non_integer_capacity(self):
-        for bad in (1.5, True):
+        for bad in (1.5, True, np.float64(2.0), np.bool_(True)):
             with pytest.raises(ValueError, match="capacity"):
                 run(make_workload(1.0, 1.0), [bad], UNCONTROLLED_STRATEGY, 10.0, 0.0, 0)
+
+    def test_numpy_integer_capacities_and_seed_count_as_python_ints(self):
+        # 300 erlangs on 300 ports; summed as numpy uint8, the ports would
+        # wrap to 44 (and warn), and the record would hold a numpy seed
+        w = make_workload(150.0, 1.0, num_clusters=2)
+        strategy = StrategySpec("policy", (1.0, 0.9))
+        expected = run(w, [200, 100], strategy, 20.0, 2.0, 3)
+        m = run(w, [np.uint8(200), np.uint8(100)], strategy, 20.0, 2.0, np.uint64(3))
+        assert m == expected and 0 < m.blocked < m.offered / 10
+        assert type(m.seed) is int
 
     def test_rejects_no_partitions(self):
         with pytest.raises(ValueError, match="partition"):
@@ -548,6 +559,25 @@ class TestPooledAdmission:
         assert (flags is None) == (full is None)
         assert (expected if flags is None else flags.tolist()) == expected
         assert all(expected[:full])
+
+
+@pytest.mark.parametrize("ports", [3, 1_000])
+@pytest.mark.parametrize(
+    "strategy", [UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0, 0.5, 0.2))]
+)
+def test_run_records_are_plain_named_tuples(ports, strategy):
+    # run builds its records with tuple.__new__, which skips _make's length
+    # check; 3 ports block some arrivals (the admitted bincount), 1,000 none
+    m = run(make_workload(2.0, 1.5, num_clusters=3), [ports], strategy, 200.0, 20.0, 9)
+    assert (m.blocked > 0) == (ports == 3)
+    assert type(m) is RunMetrics and len(m) == len(RunMetrics._fields)
+    assert len(m.per_class) == 3
+    for c in m.per_class:
+        assert type(c) is ClassCounts and len(c) == len(ClassCounts._fields) == 4
+        assert all(type(v) is int for v in c)
+        assert ClassCounts(**c._asdict()) == c
+    assert RunMetrics(**m._asdict()) == m
+    assert m._asdict()["per_class"] is m.per_class
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])

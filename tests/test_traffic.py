@@ -485,6 +485,20 @@ def test_guide_table_equals_a_bisection_of_any_uniforms(rates, u):
     assert marks.tolist() == u.tolist()
 
 
+@pytest.mark.parametrize("n", [0, 1, 1_000])
+@pytest.mark.parametrize("rates", [[1.0, 2.0], [1.0, 0.0, 1.0, 1.0, 1.0], [0.0]])
+def test_class_marks_are_a_fresh_writeable_intp_array(rates, n):
+    # the marks are the stream's class ids, made read-only after: they must
+    # be their own buffer, not a view of the uniforms or of the tables
+    total, inner, guide, _ = _stream_tables(rate_workload(rates, 0))
+    u = np.random.default_rng(n).random(n)
+    marks = _class_marks(u, inner, guide, total)
+    assert marks.dtype == np.intp and len(marks) == n
+    assert marks.flags.writeable and marks.flags.c_contiguous and marks.base is None
+    for array in (u, inner, guide):
+        assert not np.shares_memory(marks, array)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(MARK_RATES), min_size=1, max_size=12))
 @example([1.0, 2.0])

@@ -36,9 +36,10 @@ SWEEP_CHOICES = (SWEEP_GLOBAL, SWEEP_PER_CLUSTER)
 # of the reproducibility contract, so treat it as frozen.
 POINT_SEED_STRIDE = 10007
 
-# Larger configs fail fast: a run peaks at about 33 bytes per arrival
+# Larger configs fail fast: a run peaks at about 32 bytes per arrival
 # (tracemalloc, one uncontrolled run of 192,000 arrivals at multiplier 15.5;
-# 41 in policy mode, whose gate draws add two arrays of doubles),
+# a policy run adds its gate uniforms, then a copy of the arrivals that pass:
+# 33 at the reference gates of 1/30, 59 when every gate is 1.0),
 # and the heaviest run of the reference scenario expects about 19,000. The
 # workload builds one spec per cluster (MAX_COUNT caps clusters and
 # partitions alike), and compare-analytic's Erlang-B loops once per port.

@@ -9,8 +9,11 @@ A request that passes the gate is blocked exactly when all N = sum of C_j
 ports of all partitions are busy; which partition's port it takes changes
 no count, so the engine keeps no home partition and no probe order.
 
-A run is strictly single-threaded and a pure function of its arguments;
-independent runs share no state and may execute concurrently.
+A run is strictly single-threaded and a pure function of its arguments.
+Runs given one drawn stream share its memo of the per-class counts of the
+arrivals from the first counted one on: a pure function of the stream and
+that index, which keys it and is stored with it in one assignment, so
+these runs too may execute concurrently.
 """
 
 from __future__ import annotations
@@ -270,11 +273,21 @@ def run(
     times, holds, classes = stream.time, stream.hold, stream.class_id
     # times are sorted, so the counted arrivals (at or after warmup) are a suffix
     first = int(times.searchsorted(warmup))
-    offered = np.bincount(classes[first:], minlength=num_classes).tolist()
+    # one read of the memo, which a run in another thread may replace whole
+    counted_from, offered = stream._offered
+    if counted_from != first:
+        offered = tuple(np.bincount(classes[first:], minlength=num_classes).tolist())
+        object.__setattr__(stream, "_offered", (first, offered))
     entered = offered
     if strategy.mode == POLICY:
-        gate_rng = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed]))
-        passed = np.flatnonzero(gate_rng.random(len(stream)) < np.array(strategy.gates)[classes])
+        gates = strategy.gates
+        top = max(gates, default=0.0)
+        u = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed])).random(len(stream))
+        passed = (u < top).nonzero()[0]
+        if min(gates, default=0.0) < top:
+            # u < gates[c] implies u < top, so the classes' own gates only thin these
+            passed = passed[u.take(passed) < np.array(gates).take(classes.take(passed))]
+        del u  # n doubles, freed before the takes and the admission
         times, holds, classes = times.take(passed), holds.take(passed), classes.take(passed)
         first = int(times.searchsorted(warmup))
         entered = np.bincount(classes[first:], minlength=num_classes).tolist()

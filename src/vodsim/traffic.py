@@ -17,7 +17,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,6 +123,9 @@ class ArrivalStream:
     # with read-only arrays; None for a stream built by a caller, which
     # ``engine.run`` refuses
     _drawn_for: tuple | None = field(default=None, init=False, repr=False)
+    # ``engine.run``'s memo of the per-class arrival counts from one index
+    # on, as (index, counts), so the strategies run on one stream count once
+    _offered: tuple = field(default=(-1, ()), init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.time)
@@ -175,7 +178,7 @@ def scale_workload(spec: WorkloadSpec, multiplier: float) -> WorkloadSpec:
         ClusterSpec(c.traffic_rate * multiplier, c.mean_holding, c.interactive_rate * multiplier)
         for c in spec.clusters
     )
-    return replace(spec, clusters=clusters)
+    return WorkloadSpec(clusters, spec.per_stream_bandwidth, spec.seed)
 
 
 def _stream_tables(spec: WorkloadSpec) -> tuple:
@@ -198,9 +201,13 @@ def _stream_tables(spec: WorkloadSpec) -> tuple:
     # a derived rate overflows where its inputs do not: 1.0 / 1e-310 is inf
     if not math.isfinite(sum(rates)):
         raise ValueError("the arrival rates must be finite, and so must their sum")
-    bounds = np.cumsum(np.trim_zeros(np.array(rates), "b"))
-    total = float(bounds[-1]) if len(bounds) else 0.0
-    inner = np.append(bounds[:-1], np.inf)
+    live = len(rates)
+    while live and not rates[live - 1]:
+        live -= 1
+    # with no live class, one bound of 0.0 gives total 0.0 and inner [inf]
+    inner = np.cumsum(rates[:live] or [0.0])
+    total = float(inner[-1])
+    inner[-1] = np.inf
     cells = 1 << min(16, (64 * len(inner) - 1).bit_length())
     edges = np.searchsorted(inner, np.arange(cells + 1) / cells * total, "right")
     guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1)

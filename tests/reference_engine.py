@@ -72,9 +72,11 @@ class ClusterState:
         self.capacities = tuple(self.capacities)
         if len(self.capacities) < 1:
             raise ValueError("at least one partition is required")
+        # the domain of ``engine.run``: Python or numpy integers, no bools
         for j, c in enumerate(self.capacities):
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            if not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 0:
                 raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
+        self.capacities = tuple(map(int, self.capacities))
         if self.occupied is None:
             self.occupied = [0] * len(self.capacities)
         else:

@@ -71,6 +71,15 @@ class TestClusterState:
         with pytest.raises(ValueError):
             ClusterState(())
 
+    def test_takes_the_capacities_run_takes(self):
+        # Python or numpy integers, kept as Python ints; run refuses the rest
+        s = ClusterState((np.int64(2), np.uint8(3), 1))
+        assert s.capacities == (2, 3, 1) and all(type(c) is int for c in s.capacities)
+        assert s.free_ports == 6
+        for bad in (1.5, True, np.float64(2.0), np.bool_(True), np.int64(-1)):
+            with pytest.raises(ValueError, match="capacity"):
+                ClusterState((2, bad))
+
 
 class TestEventOrdering:
     def test_departure_sorts_before_arrival_at_equal_time(self):
@@ -227,8 +236,9 @@ class TestStrategySpec:
 class TestRun:
     def test_empty_workload_zeroes_everything(self):
         empty = WorkloadSpec((), 1.0, 0)
-        m = run(empty, [2, 2], UNCONTROLLED_STRATEGY, 100.0, 10.0, seed=1)
-        assert (m.offered, m.admitted, m.policed, m.blocked) == (0, 0, 0, 0)
+        for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", ())):
+            m = run(empty, [2, 2], strategy, 100.0, 10.0, seed=1)
+            assert (m.offered, m.admitted, m.policed, m.blocked) == (0, 0, 0, 0)
 
     def test_same_seed_reproduces_metrics(self):
         w = make_workload(2.0, 1.0)
@@ -667,6 +677,43 @@ def test_drawn_stream_runs_as_its_checked_copy(ports):
         assert run(w, [ports], strategy, 200.0, 20.0, 9) == m
 
 
+@pytest.mark.parametrize("ports", [3, _ROUNDS_MIN_PORTS])
+def test_runs_on_one_stream_share_offered_counts_per_first_counted_arrival(ports):
+    # the stream keeps the offered counts of its last run, keyed by the
+    # first counted arrival: a run at another warmup counts afresh, one at
+    # the same warmup takes them, and each equals a run on a fresh stream
+    w = make_workload(2.0 * ports / 3, 1.5, num_clusters=3)
+    s = merged_arrival_stream(w.with_seed(9), 200.0)
+    policy = StrategySpec("policy", (1.0, 0.5, 0.2))
+    cases = [(UNCONTROLLED_STRATEGY, 0.0), (policy, 80.0), (UNCONTROLLED_STRATEGY, 80.0)]
+    shared = [run(w, [ports], strategy, 200.0, warmup, 9, stream=s) for strategy, warmup in cases]
+    for (strategy, warmup), m in zip(cases, shared):
+        assert m == run(w, [ports], strategy, 200.0, warmup, 9)
+    assert shared[0].offered > shared[1].offered == shared[2].offered
+    assert shared[1].policed > 0 and shared[2].blocked > 0
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [(0.3, 0.0, 0.3), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (1 / 3, 1 / 3, 1 / 3)],
+    ids=["per_class", "all_pass", "none_pass", "uniform"],
+)
+@pytest.mark.parametrize("ports", [3, _ROUNDS_MIN_PORTS])
+def test_gate_filter_equals_reference_engine(gates, ports):
+    # run compares every uniform with the largest gate, then with its own
+    # class's gate only when the gates differ; the reference engine makes
+    # one draw per request and compares it with that request's gate
+    w = make_workload(2.0 * ports / 3, 1.5, num_clusters=3)
+    for warmup in (0.0, 20.0):
+        args = (w, [ports], StrategySpec("policy", gates), 60.0, warmup, 7)
+        m = run(*args)
+        assert m == reference_run(*args)
+        for c, gate in zip(m.per_class, gates):
+            assert c.offered > 0
+            assert (c.policed == 0) == (gate == 1.0)
+            assert (c.policed == c.offered) == (gate == 0.0)
+
+
 @pytest.mark.parametrize("ports, rate", [(3, 0.05), (300, 20.0)])
 def test_run_that_blocks_nothing_admits_every_entered_arrival(ports, rate):
     # light enough that no arrival finds all ports busy, on both sides of
@@ -702,7 +749,9 @@ def small_runs(
             )
         )
     workload = WorkloadSpec(tuple(clusters), 1.0, 0)
-    capacities = draw(st.lists(capacity, min_size=1, max_size=4))
+    # numpy integers too, which both engines take as Python ints
+    port_count = st.one_of(capacity, capacity.map(np.int64))
+    capacities = draw(st.lists(port_count, min_size=1, max_size=4))
     gates = draw(st.lists(st.sampled_from([0.0, 1.0, 0.3]), min_size=k, max_size=k))
     if draw(st.booleans()):
         strategy = UNCONTROLLED_STRATEGY

@@ -518,6 +518,54 @@ def test_guide_marks_exactly_the_cells_a_bound_crosses(rates):
     assert guide[~crossed].tolist() == (edges[:-1, None] >= bounds.T).sum(axis=1)[~crossed].tolist()
 
 
+def trimmed_tables(spec):
+    """``_stream_tables`` by its earlier recipe, which trimmed the trailing
+    zero rates with ``np.trim_zeros`` and appended inf to the inner bounds."""
+    bounds = np.cumsum(np.trim_zeros(np.array(spec.arrival_rates()), "b"))
+    total = float(bounds[-1]) if len(bounds) else 0.0
+    inner = np.append(bounds[:-1], np.inf)
+    cells = 1 << min(16, (64 * len(inner) - 1).bit_length())
+    edges = np.searchsorted(inner, np.arange(cells + 1) / cells * total, "right")
+    guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
+    means = np.array([c.mean_holding for c in spec.clusters])
+    return total, inner, guide, means
+
+
+def assert_tables_bit_equal(rates, interactive=0.0):
+    spec = rate_workload(rates, 0, interactive)
+    got, want = _stream_tables(spec), trimmed_tables(spec)
+    assert type(got[0]) is float and got[0].hex() == want[0].hex()
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rates, interactive",
+    [
+        ([0.0, 0.0, 3.0, 5.0], 0.0),  # leading zeros
+        ([3.0, 0.0, 0.0, 5.0], 0.0),  # inner zeros
+        ([3.0, 5.0, 0.0, 0.0], 0.0),  # trailing zeros
+        ([0.0, 2.0, 0.0, 1.0, 0.0, 0.0], 0.0),  # all three
+        ([0.0], 0.0),
+        ([0.0] * 7, 0.0),
+        ([-0.0, 1.0, -0.0], -0.0),  # negative zero rates
+        ([-0.0, -0.0], -0.0),
+        ([1e-300, 1e-308, 1.5e-308, 5e-324], 0.0),  # subnormal bounds and total
+        ([5e-324, 0.0, 5e-324, 0.0], 0.0),
+        ([1.0, 1e-17, 1e-17, 0.0, 2.5], 0.0),  # bounds that round onto the one before
+    ],
+)
+def test_tables_equal_the_trimmed_recipe(rates, interactive):
+    assert_tables_bit_equal(rates, interactive)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(MARK_RATES), min_size=1, max_size=12))
+def test_tables_of_any_mark_rates_equal_the_trimmed_recipe(rates):
+    assert_tables_bit_equal(rates)
+
+
 @pytest.mark.parametrize("point", range(30))
 def test_reference_point_marks_equal_a_bisection_of_every_mark(point):
     # the first replication's stream of each reference load point

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError, InternalConsistencyError
 
 if TYPE_CHECKING:
@@ -29,11 +31,11 @@ def _check_load(erlangs: float) -> float:
     return float(erlangs)
 
 
-def _check_capacity(capacity: int) -> int:
-    """Capacity of one server partition, in ports."""
-    if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 0:
-        raise ValueError(f"capacity must be a non-negative integer, got {capacity!r}")
-    return capacity
+def _check_capacity(capacity: int, name: str = "capacity") -> int:
+    """Capacity of one server partition, in ports: a non-bool Python or numpy integer."""
+    if not isinstance(capacity, (int, np.integer)) or isinstance(capacity, bool) or capacity < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {capacity!r}")
+    return int(capacity)
 
 
 def _check_gate_count(gates: Sequence[float], workload: WorkloadSpec) -> None:

@@ -39,7 +39,7 @@ POINT_SEED_STRIDE = 10007
 # Larger configs fail fast: a run peaks at about 32 bytes per arrival
 # (tracemalloc, one uncontrolled run of 192,000 arrivals at multiplier 15.5;
 # a policy run adds its gate uniforms, then a copy of the arrivals that pass:
-# 33 at the reference gates of 1/30, 59 when every gate is 1.0),
+# 33 at the reference gates of 1/30, 32 when every gate is 1.0 (none drawn)),
 # and the heaviest run of the reference scenario expects about 19,000. The
 # workload builds one spec per cluster (MAX_COUNT caps clusters and
 # partitions alike), and compare-analytic's Erlang-B loops once per port.
@@ -211,7 +211,7 @@ class ScenarioConfig:
                 )
             n = self.num_clusters
             gate = 1.0 / n if self.weight_scaling == "literal" else 1.0
-            specs.append((policy_name, StrategySpec(POLICY, (gate,) * n)))
+            specs.append((policy_name, StrategySpec(gates=(gate,) * n)))
         return specs
 
 

@@ -2,8 +2,8 @@
 
 Requests from the merged arrival stream ask the server for a free port;
 blocked and policed requests leave the system (blocked calls cleared, no
-retry). An ``uncontrolled`` request asks at once; a ``policy`` request first
-passes a Bernoulli gate of its class.
+retry). A strategy is its per-class Bernoulli gates alone, and ``run`` counts
+from ``_flags``: which arrivals pass the gates, and which are admitted.
 
 A request that passes the gate is blocked exactly when all N = sum of C_j
 ports of all partitions are busy; which partition's port it takes changes
@@ -27,38 +27,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import _check_gate_count
+from .analytic import _check_capacity, _check_gate_count
 from .errors import ConfigurationError, InternalConsistencyError
 from .metrics import ClassCounts, RunMetrics
 from .traffic import _GATE_TAG, ArrivalStream, WorkloadSpec, merged_arrival_stream
 
 UNCONTROLLED = "uncontrolled"
 POLICY = "policy"
-MODES = (UNCONTROLLED, POLICY)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class StrategySpec:
-    """Admission strategy: uncontrolled overflow, or a per-class policy gate.
+    """Admission strategy: ``gates`` holds each class's pass probability, a
+    number in [0, 1], or is None (uncontrolled), which passes all as 1.0 does."""
 
-    In policy mode, and only then, ``gates`` holds each class's pass
-    probability, a number in [0, 1].
-    """
-
-    mode: str
     gates: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if (self.mode == POLICY) != (self.gates is not None):
-            raise ConfigurationError("gates must be supplied iff mode is 'policy'")
         for i, g in enumerate(self.gates or ()):
             if not 0.0 <= g <= 1.0:  # also false for a nan
                 raise ConfigurationError(f"gate[{i}] = {g} is outside [0, 1]")
 
 
-UNCONTROLLED_STRATEGY = StrategySpec(UNCONTROLLED)
+UNCONTROLLED_STRATEGY = StrategySpec()
 
 # A blocked run shorter than this is skipped by a bisection of this many
 # arrivals rather than of the rest of the stream. Only the heap loop (below
@@ -226,6 +217,27 @@ def _pooled_admission(
     return np.frombuffer(admitted, dtype=bool)
 
 
+def _flags(
+    stream: ArrivalStream, gates: Sequence[float] | None, seed: int, ports: int
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``(passed, admitted)``: the ascending indices of the arrivals of ``stream``
+    that pass the ``gates``, None when all pass, and ``_admission``'s flags over
+    those on ``ports`` ports, None when none is blocked. Only when some gate is
+    below 1.0, which every uniform in [0, 1) passes, are gate uniforms drawn,
+    one per arrival in order, from ``default_rng(SeedSequence([_GATE_TAG, seed]))``.
+    """
+    if min(gates or (1.0,)) >= 1.0:
+        return None, _admission(stream.time, stream.hold, ports)
+    top = max(gates)
+    u = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed])).random(len(stream))
+    passed = (u < top).nonzero()[0]
+    if min(gates) < top:
+        # u < gates[c] implies u < top, so the classes' own gates only thin these
+        passed = passed[u.take(passed) < np.array(gates).take(stream.class_id.take(passed))]
+    del u  # n doubles, freed before the takes and the admission
+    return passed, _admission(stream.time.take(passed), stream.hold.take(passed), ports)
+
+
 def run(
     workload: WorkloadSpec,
     capacities: Sequence[int],
@@ -238,30 +250,24 @@ def run(
     """Simulate the workload against the partitioned server, return counters.
 
     The seed drives everything. The arrival stream is
-    ``merged_arrival_stream(workload.with_seed(seed), horizon)``: pass it
-    as ``stream`` to share one stream among the strategies run at this
-    seed, or leave ``stream`` out and the run builds it. A stream drawn for
-    an equal workload, seed and horizon is that stream; any other, one
-    drawn for another workload, seed or horizon or one built by a caller,
-    is a ``ConfigurationError``. Policy gate uniforms, one per
-    arrival in arrival order, are drawn from
-    ``default_rng(SeedSequence([_GATE_TAG, seed]))``, a generator apart
-    from the stream's, so uncontrolled and policy runs at the same seed see
-    the same arrivals.
-    Counters only include requests arriving at or after warmup; earlier
-    requests still evolve the state.
+    ``merged_arrival_stream(workload.with_seed(seed), horizon)``: pass it as
+    ``stream`` to share one stream among the strategies run at this seed, or
+    leave ``stream`` out and the run builds it. A stream drawn for an equal
+    workload, seed and horizon is that stream; any other, one drawn for
+    another workload, seed or horizon or one built by a caller, is a
+    ``ConfigurationError``. ``_flags`` draws the gates from a generator
+    apart from the stream's, so uncontrolled and policy runs at the same
+    seed see the same arrivals. Counters only include requests arriving at
+    or after warmup; earlier requests still evolve the state.
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
-    if strategy.mode == POLICY:
+    if strategy.gates is not None:
         _check_gate_count(strategy.gates, workload)
     if len(capacities) < 1:
         raise ValueError("at least one partition is required")
     if not all(type(c) is int and c >= 0 for c in capacities):
-        for j, c in enumerate(capacities):
-            if not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"capacity[{j}] must be a non-negative integer, got {c!r}")
-        capacities = [int(c) for c in capacities]
+        capacities = [_check_capacity(c, f"capacity[{j}]") for j, c in enumerate(capacities)]
     spec = workload.with_seed(seed)  # checks the seed before the record, where 3.0 equals 3
 
     num_classes = len(workload.clusters)
@@ -270,31 +276,23 @@ def run(
     elif stream._drawn_for != (spec, horizon):
         raise ConfigurationError("the stream was not drawn for this workload, seed and horizon")
     # drawn arrays are contiguous native float64, class ids intp (bincount's index type)
-    times, holds, classes = stream.time, stream.hold, stream.class_id
     # times are sorted, so the counted arrivals (at or after warmup) are a suffix
-    first = int(times.searchsorted(warmup))
+    first = int(stream.time.searchsorted(warmup))
+    classes = stream.class_id[first:]
     # one read of the memo, which a run in another thread may replace whole
     counted_from, offered = stream._offered
     if counted_from != first:
-        offered = tuple(np.bincount(classes[first:], minlength=num_classes).tolist())
+        offered = tuple(np.bincount(classes, minlength=num_classes).tolist())
         object.__setattr__(stream, "_offered", (first, offered))
+    passed, admitted = _flags(stream, strategy.gates, seed, sum(capacities))
     entered = offered
-    if strategy.mode == POLICY:
-        gates = strategy.gates
-        top = max(gates, default=0.0)
-        u = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed])).random(len(stream))
-        passed = (u < top).nonzero()[0]
-        if min(gates, default=0.0) < top:
-            # u < gates[c] implies u < top, so the classes' own gates only thin these
-            passed = passed[u.take(passed) < np.array(gates).take(classes.take(passed))]
-        del u  # n doubles, freed before the takes and the admission
-        times, holds, classes = times.take(passed), holds.take(passed), classes.take(passed)
-        first = int(times.searchsorted(warmup))
-        entered = np.bincount(classes[first:], minlength=num_classes).tolist()
-    admitted = _admission(times, holds, sum(capacities))
+    if passed is not None:  # ascending, so its counted arrivals are a suffix too
+        first = int(passed.searchsorted(first))
+        classes = stream.class_id.take(passed[first:])
+        entered = np.bincount(classes, minlength=num_classes).tolist()
     admits = entered  # unless some arrival found all ports busy
     if admitted is not None:
-        admits = np.bincount(classes[first:][admitted[first:]], minlength=num_classes).tolist()
+        admits = np.bincount(classes[admitted[first:]], minlength=num_classes).tolist()
     # each count is of a subset of the arrivals of the one before, so every
     # column is >= 0, and offered = admitted + policed + blocked by arithmetic
     policed = list(map(sub, offered, entered))

@@ -5,9 +5,10 @@ Each request is one object; a probe starts at the class's home partition
 (class_id mod k) and walks the partitions cyclically to the first free
 port. Departures are events carrying the partition they free, and events
 at equal times order departure-first, then by insertion sequence.
-``reference_run`` must return the same ``RunMetrics`` as ``engine.run``:
-the pooled engine rests on admission depending only on the number of
-free ports, which this loop does not assume.
+``reference_run`` must return the same ``RunMetrics`` as ``engine.run``,
+and ``reference_outcomes`` each arrival's outcome as ``engine._flags``
+gives it: the pooled engine rests on admission depending only on the
+number of free ports, which this loop does not assume.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from vodsim.engine import POLICY, StrategySpec
+from vodsim.engine import StrategySpec
 from vodsim.errors import ConfigurationError, InternalConsistencyError
 from vodsim.metrics import ClassCounts, RunMetrics
 from vodsim.traffic import _GATE_TAG, WorkloadSpec, merged_arrival_stream
@@ -115,7 +116,7 @@ def admit(
     strategy: StrategySpec,
     rng: random.Random | np.random.Generator,
 ) -> AdmissionOutcome:
-    """Decide one request: gate it (policy mode), then probe for a free port.
+    """Decide one request: gate it (if gated), then probe for a free port.
 
     The probe starts at home = class_id mod k and walks the partitions
     cyclically; the request is admitted at the first partition with a free
@@ -123,8 +124,8 @@ def admit(
     policed request never touches the state and consumes exactly one draw
     from the gate generator.
     """
-    if strategy.mode == POLICY:
-        gates = strategy.gates
+    gates = strategy.gates
+    if gates is not None:
         try:
             gate = gates[request.class_id]
         except IndexError:
@@ -188,54 +189,51 @@ def reference_run(
     """The per-request, per-partition form of ``vodsim.engine.run``."""
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
-    if strategy.mode == POLICY and len(strategy.gates) < len(workload.clusters):
+    if strategy.gates is not None and len(strategy.gates) < len(workload.clusters):
         raise ConfigurationError(
             f"policy gates cover {len(strategy.gates)} classes but the "
             f"workload has {len(workload.clusters)}"
         )
+    requests, kinds = reference_outcomes(workload, capacities, strategy, horizon, seed)
+    return reference_counts(len(workload.clusters), requests, kinds, warmup, seed)
+
+
+def reference_outcomes(
+    workload: WorkloadSpec,
+    capacities: Sequence[int],
+    strategy: StrategySpec,
+    horizon: float,
+    seed: int,
+) -> tuple[list[SessionRequest], list[str]]:
+    """Each request of the run's stream and its outcome kind (admitted,
+    policed or blocked), in arrival order, warmup or not."""
     state = ClusterState(tuple(capacities))
-    stream = request_list(replace(workload, seed=seed), horizon)
+    requests = request_list(replace(workload, seed=seed), horizon)
     # one scalar draw per request, in arrival order, from the run's gate generator
     gate_rng = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed]))
 
-    num_classes = len(workload.clusters)
-    offered = [0] * num_classes
-    admitted = [0] * num_classes
-    policed = [0] * num_classes
-    blocked = [0] * num_classes
-
+    kinds: list[str] = []
     departures: list[Event] = []
     push, pop = heapq.heappush, heapq.heappop
     seq = 0
-    for req in stream:
+    for req in requests:
         t = req.arrival_time
         while departures and departures[0][0] <= t:
             release(state, pop(departures).partition)
-        cls = req.class_id
-        counted = t >= warmup
-        if counted:
-            offered[cls] += 1
         outcome = admit(state, req, strategy, gate_rng)
-        kind = outcome.kind
-        if kind == "admitted":
+        kinds.append(outcome.kind)
+        if outcome.kind == "admitted":
             seq += 1
             push(
                 departures,
-                Event(t + req.holding_time, DEPARTURE, seq, outcome.partition, cls),
+                Event(t + req.holding_time, DEPARTURE, seq, outcome.partition, req.class_id),
             )
-            if counted:
-                admitted[cls] += 1
             if __debug__:
                 j = outcome.partition
                 if not 0 <= state.occupied[j] <= state.capacities[j]:
                     raise InternalConsistencyError(
                         f"occupancy bound violated at partition {j}"
                     )
-        elif counted:
-            if kind == "policed":
-                policed[cls] += 1
-            else:
-                blocked[cls] += 1
 
     while departures and departures[0][0] <= horizon:
         release(state, pop(departures).partition)
@@ -243,16 +241,26 @@ def reference_run(
         raise InternalConsistencyError(
             "final occupancy inconsistent with outstanding departures"
         )
+    return requests, kinds
 
+
+def reference_counts(
+    num_classes: int,
+    requests: Sequence[SessionRequest],
+    kinds: Sequence[str],
+    warmup: float,
+    seed: int,
+) -> RunMetrics:
+    """The per-class counts of the requests arriving at or after warmup."""
+    counts = {kind: [0] * num_classes for kind in ClassCounts._fields}
+    for req, kind in zip(requests, kinds):
+        if req.arrival_time >= warmup:
+            counts["offered"][req.class_id] += 1
+            counts[kind][req.class_id] += 1
     per_class = tuple(
-        ClassCounts(offered[c], admitted[c], policed[c], blocked[c])
+        ClassCounts(*(counts[kind][c] for kind in ClassCounts._fields))
         for c in range(num_classes)
     )
     return RunMetrics(
-        offered=sum(offered),
-        admitted=sum(admitted),
-        policed=sum(policed),
-        blocked=sum(blocked),
-        per_class=per_class,
-        seed=seed,
+        *(sum(counts[kind]) for kind in ClassCounts._fields), per_class=per_class, seed=seed
     )

@@ -1,10 +1,12 @@
 """Unit and property tests for the closed-form probability functions."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vodsim.analytic import (
+    _check_capacity,
     chain_blocking,
     erlang_b,
     erlang_b_direct,
@@ -38,19 +40,28 @@ class TestOfferedLoad:
 
 
 class TestPartitionSpec:
-    """Every closed form takes a partition's capacity as a non-bool int >= 0."""
+    """Every closed form takes a partition's capacity as a non-bool Python or
+    numpy integer >= 0, the capacities ``engine.run`` takes."""
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="capacity"):
             erlang_b(1.0, -1)
 
     def test_rejects_non_integer(self):
-        for bad in (1.5, 2.0, True):
+        for bad in (1.5, 2.0, True, np.bool_(True), np.float64(2.0)):
             with pytest.raises(ValueError, match="capacity"):
                 erlang_b(1.0, bad)
 
     def test_accepts_zero(self):
         assert erlang_b_direct(1.0, 0) == 1.0
+
+    def test_accepts_numpy_integers(self):
+        # a port total summed from numpy capacities, as a Python int
+        for c in (np.int64(2), np.uint8(2)):
+            assert erlang_b(2.0, c) == erlang_b_direct(2.0, c) == erlang_b(2.0, 2)
+            assert type(_check_capacity(c)) is int
+        w = WorkloadSpec((ClusterSpec(250.0, 1.0),), 1.0, 0)
+        assert pooled_blocking(w, np.int64(300)) == pooled_blocking(w, 300) > 0
 
     def test_chain_stage_capacity_is_not_truncated(self):
         # a stage of 1.5 ports is rejected, not computed as 1 port

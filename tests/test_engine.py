@@ -19,6 +19,8 @@ from reference_engine import (
     Event,
     SessionRequest,
     admit,
+    reference_counts,
+    reference_outcomes,
     reference_run,
     release,
 )
@@ -30,6 +32,7 @@ from vodsim.engine import (
     StrategySpec,
     _admission,
     _admission_rounds,
+    _flags,
     _pooled_admission,
     run,
 )
@@ -101,19 +104,19 @@ class TestAdmit:
         state = ClusterState((1, 1), occupied=[1, 1])
         rng = random.Random(0)
         assert admit(state, req(), UNCONTROLLED_STRATEGY, rng) is BLOCKED
-        policy = StrategySpec("policy", (1.0,))
+        policy = StrategySpec(gates=(1.0,))
         assert admit(state, req(), policy, rng) is BLOCKED
 
     def test_unit_gate_with_free_port_admits(self):
         state = ClusterState((4,))
-        policy = StrategySpec("policy", (1.0,))
+        policy = StrategySpec(gates=(1.0,))
         out = admit(state, req(), policy, random.Random(0))
         assert out == AdmissionOutcome("admitted", 0)
         assert state.occupied == [1]
 
     def test_zero_weight_is_always_policed(self):
         state = ClusterState((4, 4))
-        policy = StrategySpec("policy", (0.0, 1.0))
+        policy = StrategySpec(gates=(0.0, 1.0))
         rng = random.Random(1)
         for _ in range(50):
             assert admit(state, req(class_id=0), policy, rng) is POLICED
@@ -144,7 +147,7 @@ class TestAdmit:
 
     def test_class_outside_weights_rejected(self):
         state = ClusterState((2,))
-        policy = StrategySpec("policy", (1.0,))
+        policy = StrategySpec(gates=(1.0,))
         with pytest.raises(ValueError, match="class_id"):
             admit(state, req(class_id=5), policy, random.Random(0))
 
@@ -185,7 +188,7 @@ class TestEffectiveGate:
     def test_out_of_range_class(self):
         # two gates cover classes 0 and 1 only; a run that offers class 2 is
         # refused rather than given a made-up gate
-        s = StrategySpec("policy", (0.5, 0.5))
+        s = StrategySpec(gates=(0.5, 0.5))
         with pytest.raises(ConfigurationError, match="class"):
             run(make_workload(1.0, 1.0, num_clusters=3), [1], s, 100.0, 0.0, seed=0)
 
@@ -195,34 +198,28 @@ class TestEffectiveGate:
         w = make_workload(1.0, 1.0, num_clusters=2)
         match = f"policy gates cover {len(gates)} classes but the workload has 2"
         with pytest.raises(ConfigurationError, match=match):
-            run(w, [1], StrategySpec("policy", gates), 100.0, 0.0, seed=0)
+            run(w, [1], StrategySpec(gates=gates), 100.0, 0.0, seed=0)
 
     def test_uncontrolled_has_no_gates(self):
         assert UNCONTROLLED_STRATEGY.gates is None
 
 
 class TestStrategySpec:
-    def test_policy_requires_weights(self):
-        with pytest.raises(ConfigurationError):
-            StrategySpec("policy")
-
-    def test_uncontrolled_forbids_weights(self):
-        with pytest.raises(ConfigurationError):
-            StrategySpec("uncontrolled", (1.0,))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            StrategySpec("adaptive")
+    def test_gates_are_keyword_only(self):
+        # the gates are the whole strategy, so a call that still names a mode fails
+        for args in (("policy", (1.0,)), ((1.0,),)):
+            with pytest.raises(TypeError):
+                StrategySpec(*args)
 
     def test_gates_kept_as_given(self):
-        s = StrategySpec("policy", (0.5, 0.3, 0.0, 1.0))
+        s = StrategySpec(gates=(0.5, 0.3, 0.0, 1.0))
         assert s.gates == (0.5, 0.3, 0.0, 1.0)
-        assert s == StrategySpec("policy", (0.5, 0.3, 0.0, 1.0))
+        assert s == StrategySpec(gates=(0.5, 0.3, 0.0, 1.0))
 
     def test_gates_precomputed(self):
         # a run applies the gates the spec holds: a class gated at 0 is
         # policed whole and a class gated at 1 never
-        s = StrategySpec("policy", (0.0, 1.0))
+        s = StrategySpec(gates=(0.0, 1.0))
         m = run(make_workload(2.0, 1.0, num_clusters=2), [4], s, 200.0, 0.0, seed=3)
         assert m.per_class[0].policed == m.per_class[0].offered > 0
         assert m.per_class[1].policed == 0 < m.per_class[1].offered
@@ -230,13 +227,13 @@ class TestStrategySpec:
     def test_entries_must_be_probabilities(self):
         for bad in (1.5, -0.5, float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigurationError, match=r"gate\[1\] = .* outside"):
-                StrategySpec("policy", (0.5, bad))
+                StrategySpec(gates=(0.5, bad))
 
 
 class TestRun:
     def test_empty_workload_zeroes_everything(self):
         empty = WorkloadSpec((), 1.0, 0)
-        for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", ())):
+        for strategy in (UNCONTROLLED_STRATEGY, StrategySpec(gates=())):
             m = run(empty, [2, 2], strategy, 100.0, 10.0, seed=1)
             assert (m.offered, m.admitted, m.policed, m.blocked) == (0, 0, 0, 0)
 
@@ -266,7 +263,7 @@ class TestRun:
 
     def test_policy_gate_polices_roughly_its_share(self):
         w = make_workload(5.0, 0.5, num_clusters=2)
-        strategy = StrategySpec("policy", (0.5, 0.5))
+        strategy = StrategySpec(gates=(0.5, 0.5))
         m = run(w, [100], strategy, 1_000.0, 0.0, seed=5)
         # both classes gated at 0.5: about half of all requests policed
         assert m.policed / m.offered == pytest.approx(0.5, abs=0.03)
@@ -296,7 +293,7 @@ class TestRun:
         # 300 erlangs on 300 ports; summed as numpy uint8, the ports would
         # wrap to 44 (and warn), and the record would hold a numpy seed
         w = make_workload(150.0, 1.0, num_clusters=2)
-        strategy = StrategySpec("policy", (1.0, 0.9))
+        strategy = StrategySpec(gates=(1.0, 0.9))
         expected = run(w, [200, 100], strategy, 20.0, 2.0, 3)
         m = run(w, [np.uint8(200), np.uint8(100)], strategy, 20.0, 2.0, np.uint64(3))
         assert m == expected and 0 < m.blocked < m.offered / 10
@@ -308,7 +305,7 @@ class TestRun:
 
     def test_weights_must_cover_all_classes(self):
         w = make_workload(1.0, 1.0, num_clusters=3)
-        short = StrategySpec("policy", (0.5, 0.5))
+        short = StrategySpec(gates=(0.5, 0.5))
         with pytest.raises(ConfigurationError, match="covers? 2 classes"):
             run(w, [1], short, 100.0, 10.0, seed=0)
 
@@ -321,18 +318,28 @@ class TestRun:
 
     def test_policy_blocks_no_more_than_uncontrolled_here(self):
         w = make_workload(4.0, 1.0, num_clusters=2)
-        strategy = StrategySpec("policy", (0.5, 0.5))
+        strategy = StrategySpec(gates=(0.5, 0.5))
         unc = run(w, [3], UNCONTROLLED_STRATEGY, 2_000.0, 200.0, seed=23)
         pol = run(w, [3], strategy, 2_000.0, 200.0, seed=23)
         assert blocking_probability(pol, "server") <= blocking_probability(unc, "server")
 
-    def test_unit_gate_policy_equals_uncontrolled(self):
-        w = make_workload(4.0, 1.0, num_clusters=2)
-        all_pass = StrategySpec("policy", (1.0, 1.0))
-        unc = run(w, [3], UNCONTROLLED_STRATEGY, 1_000.0, 100.0, seed=31)
-        pol = run(w, [3], all_pass, 1_000.0, 100.0, seed=31)
-        assert pol == unc
-        assert pol.policed == 0
+    def test_unit_gate_policy_equals_uncontrolled(self, monkeypatch):
+        # every uniform in [0, 1) passes a gate of 1.0, so neither run draws
+        # one: on a drawn stream, both run with the generator refused, on
+        # both sides of _ROUNDS_MIN_PORTS
+        def refuse(*args, **kwargs):
+            raise AssertionError("a gate uniform was drawn")
+
+        all_pass = StrategySpec(gates=(1.0, 1.0))
+        for ports in (3, _ROUNDS_MIN_PORTS):
+            w = make_workload(4.0 * ports / 3, 1.0, num_clusters=2)
+            stream = merged_arrival_stream(w.with_seed(31), 100.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", refuse)
+                unc = run(w, [ports], UNCONTROLLED_STRATEGY, 100.0, 10.0, 31, stream)
+                pol = run(w, [ports], all_pass, 100.0, 10.0, 31, stream)
+            assert pol == unc
+            assert pol.policed == 0 and pol.blocked > 0
 
     def test_interactive_sessions_occupy_ports(self):
         with_vcr = make_workload(1.0, 1.0, interactive=1.0)
@@ -573,7 +580,7 @@ class TestPooledAdmission:
 
 @pytest.mark.parametrize("ports", [3, 1_000])
 @pytest.mark.parametrize(
-    "strategy", [UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0, 0.5, 0.2))]
+    "strategy", [UNCONTROLLED_STRATEGY, StrategySpec(gates=(1.0, 0.5, 0.2))]
 )
 def test_run_records_are_plain_named_tuples(ports, strategy):
     # run builds its records with tuple.__new__, which skips _make's length
@@ -596,7 +603,7 @@ def test_policed_share_is_binomial(seed):
     # arrivals each: each class's policed count is Binomial(offered, 1 - gate)
     gates = (0.1, 0.2, 0.3, 0.4)
     w = make_workload(50.0, 0.01, num_clusters=4)
-    m = run(w, [1_000], StrategySpec("policy", gates), 100.0, 0.0, seed)
+    m = run(w, [1_000], StrategySpec(gates=gates), 100.0, 0.0, seed)
     for c, gate in zip(m.per_class, gates):
         assert c.offered > 4_000
         sd = math.sqrt(c.offered * gate * (1 - gate))
@@ -630,7 +637,7 @@ def test_caller_built_stream_is_refused(build):
     # horizon: run accepts only the stream merged_arrival_stream drew
     w = make_workload(2.0, 1.0, num_clusters=2)
     stream = build(merged_arrival_stream(w.with_seed(5), 100.0))
-    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0, 0.5))):
+    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec(gates=(1.0, 0.5))):
         with pytest.raises(ConfigurationError, match="not drawn for this workload"):
             run(w, [3], strategy, 100.0, 10.0, 5, stream=stream)
 
@@ -671,7 +678,7 @@ def test_bad_seed_is_refused_with_or_without_a_stream(seed, passed):
 def test_drawn_stream_runs_as_its_checked_copy(ports):
     w = make_workload(2.0 * ports / 3, 1.5, num_clusters=3)
     s = merged_arrival_stream(replace(w, seed=9), 200.0)
-    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0, 0.5, 0.2))):
+    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec(gates=(1.0, 0.5, 0.2))):
         m = run(w, [ports], strategy, 200.0, 20.0, 9, stream=s)
         assert m.blocked > 0
         assert run(w, [ports], strategy, 200.0, 20.0, 9) == m
@@ -684,7 +691,7 @@ def test_runs_on_one_stream_share_offered_counts_per_first_counted_arrival(ports
     # the same warmup takes them, and each equals a run on a fresh stream
     w = make_workload(2.0 * ports / 3, 1.5, num_clusters=3)
     s = merged_arrival_stream(w.with_seed(9), 200.0)
-    policy = StrategySpec("policy", (1.0, 0.5, 0.2))
+    policy = StrategySpec(gates=(1.0, 0.5, 0.2))
     cases = [(UNCONTROLLED_STRATEGY, 0.0), (policy, 80.0), (UNCONTROLLED_STRATEGY, 80.0)]
     shared = [run(w, [ports], strategy, 200.0, warmup, 9, stream=s) for strategy, warmup in cases]
     for (strategy, warmup), m in zip(cases, shared):
@@ -705,7 +712,7 @@ def test_gate_filter_equals_reference_engine(gates, ports):
     # one draw per request and compares it with that request's gate
     w = make_workload(2.0 * ports / 3, 1.5, num_clusters=3)
     for warmup in (0.0, 20.0):
-        args = (w, [ports], StrategySpec("policy", gates), 60.0, warmup, 7)
+        args = (w, [ports], StrategySpec(gates=gates), 60.0, warmup, 7)
         m = run(*args)
         assert m == reference_run(*args)
         for c, gate in zip(m.per_class, gates):
@@ -721,13 +728,13 @@ def test_run_that_blocks_nothing_admits_every_entered_arrival(ports, rate):
     w = make_workload(rate, 1.0, num_clusters=3)
     s = merged_arrival_stream(w.with_seed(4), 100.0)
     assert len(s) > 10 and _admission(s.time, s.hold, ports) is None
-    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", (1.0, 0.5, 0.0))):
+    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec(gates=(1.0, 0.5, 0.0))):
         args = (w, [ports], strategy, 100.0, 10.0, 4)
         m = run(*args)
         assert m.blocked == 0 and m.admitted == m.offered - m.policed > 0
         for c in m.per_class:
             assert c.blocked == 0 and c.admitted == c.offered - c.policed
-        assert (m.policed > 0) == (strategy.mode == "policy")
+        assert (m.policed > 0) == (strategy.gates is not None)
         assert m == reference_run(*args)
         assert run(*args, stream=s) == m
 
@@ -756,7 +763,7 @@ def small_runs(
     if draw(st.booleans()):
         strategy = UNCONTROLLED_STRATEGY
     else:
-        strategy = StrategySpec("policy", tuple(gates))
+        strategy = StrategySpec(gates=tuple(gates))
     horizon = draw(st.sampled_from(horizons))
     warmup = draw(st.sampled_from([0.0, 0.4 * horizon]))
     seed = draw(st.integers(0, 2**64 - 1))
@@ -764,12 +771,20 @@ def small_runs(
 
 
 def check_against_reference_engine(case):
-    workload, _, _, horizon, _, seed = case
-    expected = reference_run(*case)
+    workload, capacities, strategy, horizon, warmup, seed = case
+    requests, kinds = reference_outcomes(workload, capacities, strategy, horizon, seed)
+    expected = reference_counts(len(workload.clusters), requests, kinds, warmup, seed)
     assert run(*case) == expected
     # a stream built once for the seed, as the CLI shares it among strategies
     stream = merged_arrival_stream(replace(workload, seed=seed), horizon)
     assert run(*case, stream=stream) == expected
+    # the flags too, each arrival's, warmup or not; None reads as every arrival
+    passed, admitted = _flags(stream, strategy.gates, seed, int(sum(capacities)))
+    assert (passed is None) == (min(strategy.gates or (1.0,)) == 1.0)
+    entered = [i for i, kind in enumerate(kinds) if kind != "policed"]
+    assert (list(range(len(kinds))) if passed is None else passed.tolist()) == entered
+    admits = [kinds[i] == "admitted" for i in entered]
+    assert ([True] * len(entered) if admitted is None else admitted.tolist()) == admits
 
 
 @settings(max_examples=100, deadline=None)
@@ -780,7 +795,7 @@ def test_per_class_records_are_checked_class_counts(case, data):
     workload, capacities, _, horizon, warmup, seed = case
     k = len(workload.clusters)
     gates = data.draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=k, max_size=k))
-    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec("policy", tuple(gates))):
+    for strategy in (UNCONTROLLED_STRATEGY, StrategySpec(gates=tuple(gates))):
         args = (workload, capacities, strategy, horizon, warmup, seed)
         records = run(*args).per_class
         expected = reference_run(*args).per_class

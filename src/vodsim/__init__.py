@@ -14,7 +14,7 @@ from .analytic import (
     pooled_blocking,
 )
 from .config import ScenarioConfig, load_config, parse_config
-from .engine import StrategySpec, run
+from .engine import run
 from .errors import ConfigurationError, InternalConsistencyError, UndefinedMetricError
 from .metrics import (
     ClassCounts,

@@ -38,13 +38,16 @@ def _check_capacity(capacity: int, name: str = "capacity") -> int:
     return int(capacity)
 
 
-def _check_gate_count(gates: Sequence[float], workload: WorkloadSpec) -> None:
-    """One policy gate per class of the workload."""
+def _check_gates(gates: Sequence[float], workload: WorkloadSpec) -> None:
+    """One policy gate per class of the workload, each a pass probability."""
     if len(gates) != len(workload.clusters):
         raise ConfigurationError(
             f"policy gates cover {len(gates)} classes but the "
             f"workload has {len(workload.clusters)}"
         )
+    for i, g in enumerate(gates):
+        if not 0.0 <= g <= 1.0:  # also false for a nan
+            raise ConfigurationError(f"gate[{i}] = {g} is outside [0, 1]")
 
 
 def _checked_probability(p: float, context: str) -> float:
@@ -108,12 +111,13 @@ def pooled_blocking(
     ``gates`` is None). It is exact because a request that reaches the
     server is blocked exactly when all ports are busy, Erlang-B does not
     depend on the holding-time law (Sevastyanov 1957), and a Bernoulli gate
-    thins a Poisson stream into a Poisson stream. Any other number of gates
-    than of classes is a ``ConfigurationError``.
+    thins a Poisson stream into a Poisson stream. ``engine.run`` takes the
+    same gates: any other number of gates than of classes, or a gate outside
+    [0, 1], is a ``ConfigurationError``.
     """
     if gates is None:
         gates = (1.0,) * len(workload.clusters)
-    _check_gate_count(gates, workload)
+    _check_gates(gates, workload)
     load = sum(
         g * r * c.mean_holding
         for g, r, c in zip(gates, workload.arrival_rates(), workload.clusters)

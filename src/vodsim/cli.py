@@ -20,13 +20,13 @@ from typing import Sequence
 
 from .analytic import pooled_blocking
 from .config import (
-    BOTH,
     POINT_SEED_STRIDE,
+    STRATEGY_CHOICES,
     SWEEP_PER_CLUSTER,
     ScenarioConfig,
     load_config,
 )
-from .engine import POLICY, UNCONTROLLED, UNCONTROLLED_STRATEGY, StrategySpec, run
+from .engine import UNCONTROLLED, UNCONTROLLED_STRATEGY, run
 from .errors import ConfigurationError, InternalConsistencyError
 from .metrics import RunMetrics, SweepPoint, _stats, blocking_probability, to_csv
 from .traffic import WorkloadSpec, merged_arrival_stream, scale_workload
@@ -35,7 +35,7 @@ from .traffic import WorkloadSpec, merged_arrival_stream, scale_workload
 def _replications(
     config: ScenarioConfig,
     workload: WorkloadSpec,
-    strategies: Sequence[tuple[str, StrategySpec]],
+    strategies: Sequence[tuple[str, Sequence[float] | None]],
     point_index: int = 0,
 ) -> list[tuple[str, tuple[RunMetrics, ...]]]:
     """Run the replications of sweep point ``point_index`` under each strategy.
@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument(
         "--strategy",
-        choices=(UNCONTROLLED, POLICY, BOTH),
+        choices=STRATEGY_CHOICES,
         default=None,
         help="override the config strategy",
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
-from .engine import POLICY, UNCONTROLLED, UNCONTROLLED_STRATEGY, StrategySpec
+from .engine import POLICY, UNCONTROLLED, UNCONTROLLED_STRATEGY
 from .errors import ConfigurationError
 from .traffic import SEED_LIMIT, WorkloadSpec, build_workload
 
@@ -191,8 +191,8 @@ class ScenarioConfig:
             interactive_rate=self.interactive_rate,
         )
 
-    def strategy_specs(self) -> list[tuple[str, StrategySpec]]:
-        """Named strategies this scenario runs, uncontrolled first.
+    def strategy_specs(self) -> list[tuple[str, tuple[float, ...] | None]]:
+        """Named gate tuples this scenario runs, uncontrolled (None) first.
 
         Both presets weight each of the n classes 1/n: capacity_proportional
         weights a class by the capacity of a partition, and every partition
@@ -201,7 +201,7 @@ class ScenarioConfig:
         so every gate is 1.0 and the policy admits like uncontrolled.
         """
         policy_name = f"policy-{self.policy_preset}-{self.weight_scaling}"
-        specs: list[tuple[str, StrategySpec]] = []
+        specs: list[tuple[str, tuple[float, ...] | None]] = []
         if self.strategy in (UNCONTROLLED, BOTH):
             specs.append((UNCONTROLLED, UNCONTROLLED_STRATEGY))
         if self.strategy in (POLICY, BOTH):
@@ -211,7 +211,7 @@ class ScenarioConfig:
                 )
             n = self.num_clusters
             gate = 1.0 / n if self.weight_scaling == "literal" else 1.0
-            specs.append((policy_name, StrategySpec(gates=(gate,) * n)))
+            specs.append((policy_name, (gate,) * n))
         return specs
 
 

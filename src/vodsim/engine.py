@@ -2,8 +2,9 @@
 
 Requests from the merged arrival stream ask the server for a free port;
 blocked and policed requests leave the system (blocked calls cleared, no
-retry). A strategy is its per-class Bernoulli gates alone, and ``run`` counts
-from ``_flags``: which arrivals pass the gates, and which are admitted.
+retry). A strategy is its tuple of per-class Bernoulli gates, or None
+(uncontrolled), and ``run`` counts from ``_flags``: which arrivals pass the
+gates, and which are admitted.
 
 A request that passes the gate is blocked exactly when all N = sum of C_j
 ports of all partitions are busy; which partition's port it takes changes
@@ -19,7 +20,6 @@ these runs too may execute concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heapreplace
 from itertools import repeat
 from operator import sub
@@ -27,29 +27,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import _check_capacity, _check_gate_count
+from .analytic import _check_capacity, _check_gates
 from .errors import ConfigurationError, InternalConsistencyError
 from .metrics import ClassCounts, RunMetrics
 from .traffic import _GATE_TAG, ArrivalStream, WorkloadSpec, merged_arrival_stream
 
+# The CLI and CSV strategy names, and the uncontrolled strategy (no gates).
+# They live here, not in config, because perfbench/worker.py reads
+# UNCONTROLLED and UNCONTROLLED_STRATEGY from engine; POLICY stays beside them.
 UNCONTROLLED = "uncontrolled"
 POLICY = "policy"
-
-
-@dataclass(frozen=True, kw_only=True)
-class StrategySpec:
-    """Admission strategy: ``gates`` holds each class's pass probability, a
-    number in [0, 1], or is None (uncontrolled), which passes all as 1.0 does."""
-
-    gates: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        for i, g in enumerate(self.gates or ()):
-            if not 0.0 <= g <= 1.0:  # also false for a nan
-                raise ConfigurationError(f"gate[{i}] = {g} is outside [0, 1]")
-
-
-UNCONTROLLED_STRATEGY = StrategySpec()
+UNCONTROLLED_STRATEGY = None
 
 # A blocked run shorter than this is skipped by a bisection of this many
 # arrivals rather than of the rest of the stream. Only the heap loop (below
@@ -241,7 +229,7 @@ def _flags(
 def run(
     workload: WorkloadSpec,
     capacities: Sequence[int],
-    strategy: StrategySpec,
+    strategy: Sequence[float] | None,
     horizon: float,
     warmup: float,
     seed: int,
@@ -249,6 +237,9 @@ def run(
 ) -> RunMetrics:
     """Simulate the workload against the partitioned server, return counters.
 
+    ``strategy`` is the gate tuple, each class's pass probability in [0, 1],
+    or None (uncontrolled), which passes all as gates of 1.0 do; a gate
+    tuple is checked with ``pooled_blocking``'s rule, ``_check_gates``.
     The seed drives everything. The arrival stream is
     ``merged_arrival_stream(workload.with_seed(seed), horizon)``: pass it as
     ``stream`` to share one stream among the strategies run at this seed, or
@@ -262,8 +253,8 @@ def run(
     """
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
-    if strategy.gates is not None:
-        _check_gate_count(strategy.gates, workload)
+    if strategy is not None:
+        _check_gates(strategy, workload)
     if len(capacities) < 1:
         raise ValueError("at least one partition is required")
     if not all(type(c) is int and c >= 0 for c in capacities):
@@ -284,7 +275,7 @@ def run(
     if counted_from != first:
         offered = tuple(np.bincount(classes, minlength=num_classes).tolist())
         object.__setattr__(stream, "_offered", (first, offered))
-    passed, admitted = _flags(stream, strategy.gates, seed, sum(capacities))
+    passed, admitted = _flags(stream, strategy, seed, sum(capacities))
     entered = offered
     if passed is not None:  # ascending, so its counted arrivals are a suffix too
         first = int(passed.searchsorted(first))

@@ -20,7 +20,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from vodsim.engine import StrategySpec
 from vodsim.errors import ConfigurationError, InternalConsistencyError
 from vodsim.metrics import ClassCounts, RunMetrics
 from vodsim.traffic import _GATE_TAG, WorkloadSpec, merged_arrival_stream
@@ -113,7 +112,7 @@ BLOCKED = AdmissionOutcome("blocked")
 def admit(
     state: ClusterState,
     request: SessionRequest,
-    strategy: StrategySpec,
+    gates: Sequence[float] | None,
     rng: random.Random | np.random.Generator,
 ) -> AdmissionOutcome:
     """Decide one request: gate it (if gated), then probe for a free port.
@@ -124,7 +123,6 @@ def admit(
     policed request never touches the state and consumes exactly one draw
     from the gate generator.
     """
-    gates = strategy.gates
     if gates is not None:
         try:
             gate = gates[request.class_id]
@@ -181,7 +179,7 @@ def request_list(workload: WorkloadSpec, horizon: float) -> list[SessionRequest]
 def reference_run(
     workload: WorkloadSpec,
     capacities: Sequence[int],
-    strategy: StrategySpec,
+    strategy: Sequence[float] | None,
     horizon: float,
     warmup: float,
     seed: int,
@@ -189,9 +187,9 @@ def reference_run(
     """The per-request, per-partition form of ``vodsim.engine.run``."""
     if not 0 <= warmup < horizon:
         raise ValueError(f"warmup must lie in [0, horizon), got {warmup} vs {horizon}")
-    if strategy.gates is not None and len(strategy.gates) < len(workload.clusters):
+    if strategy is not None and len(strategy) < len(workload.clusters):
         raise ConfigurationError(
-            f"policy gates cover {len(strategy.gates)} classes but the "
+            f"policy gates cover {len(strategy)} classes but the "
             f"workload has {len(workload.clusters)}"
         )
     requests, kinds = reference_outcomes(workload, capacities, strategy, horizon, seed)
@@ -201,7 +199,7 @@ def reference_run(
 def reference_outcomes(
     workload: WorkloadSpec,
     capacities: Sequence[int],
-    strategy: StrategySpec,
+    strategy: Sequence[float] | None,
     horizon: float,
     seed: int,
 ) -> tuple[list[SessionRequest], list[str]]:

@@ -14,6 +14,7 @@ from vodsim.analytic import (
     policy_admission_prob,
     pooled_blocking,
 )
+from vodsim.engine import run
 from vodsim.errors import ConfigurationError
 from vodsim.traffic import ClusterSpec, WorkloadSpec
 
@@ -154,6 +155,23 @@ class TestPooledBlocking:
             message = f"policy gates cover {len(gates)} classes but the workload has 2"
             with pytest.raises(ConfigurationError, match=message):
                 pooled_blocking(self.workload(), 4, gates)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, float("nan"), float("inf"), -float("inf")])
+    def test_bad_gate_refused_as_run_refuses_it(self, bad):
+        # one gate rule for both, so a gate is never read as a load
+        w = self.workload()
+        with pytest.raises(ConfigurationError) as analytic:
+            pooled_blocking(w, 4, (0.5, bad))
+        with pytest.raises(ConfigurationError) as simulated:
+            run(w, [4], (0.5, bad), 10.0, 0.0, seed=0)
+        assert str(analytic.value) == str(simulated.value) == f"gate[1] = {bad} is outside [0, 1]"
+
+    def test_gate_above_one_is_refused_where_its_load_is_in_range(self):
+        # 2 erlangs through a gate of 2.0 would be 4 erlangs on 2 ports, 0.6154
+        w = WorkloadSpec((ClusterSpec(2.0, 1.0),), 1.0, 0)
+        assert pooled_blocking(w, 2, (1.0,)) == erlang_b(2.0, 2)
+        with pytest.raises(ConfigurationError, match=r"gate\[0\] = 2.0 is outside \[0, 1\]"):
+            pooled_blocking(w, 2, (2.0,))
 
 
 class TestChainBlocking:

@@ -14,7 +14,7 @@ import vodsim.cli
 import vodsim.engine
 import vodsim.traffic
 from vodsim.cli import compare_analytic, main, run_scenario, run_sweep
-from vodsim.config import ScenarioConfig, parse_config
+from vodsim.config import STRATEGY_CHOICES, ScenarioConfig, parse_config
 from vodsim.errors import ConfigurationError, InternalConsistencyError
 from vodsim.metrics import to_csv
 
@@ -305,6 +305,16 @@ class TestMainCli:
         )
         assert code == 0
         assert "policy" not in capsys.readouterr().out
+
+    def test_strategy_choices_are_the_config_strategies(self, tmp_path, capsys):
+        # --strategy takes what a config file's strategy key takes
+        config = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as refused:
+            main(["run", "--config", config, "--strategy", "sometimes"])
+        assert refused.value.code == 2
+        assert "invalid choice: 'sometimes'" in capsys.readouterr().err
+        for strategy in STRATEGY_CHOICES:
+            assert main(["run", "--config", config, "--strategy", strategy]) == 0
 
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -15,8 +15,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def policy_gates(**overrides):
     """The gates of the policy strategy of ``ScenarioConfig(**overrides)``."""
-    ((_, spec),) = ScenarioConfig(strategy="policy", **overrides).strategy_specs()
-    return spec.gates
+    ((_, gates),) = ScenarioConfig(strategy="policy", **overrides).strategy_specs()
+    return gates
 
 
 class TestDefaults:

@@ -31,9 +31,9 @@ def test_sweep_points_match_pooled_blocking():
     for point in POINTS:
         scaled = scale_workload(base, base.clusters[point].traffic_rate / config.min_rate)
         results = _replications(config, scaled, strategies, point)
-        for (name, strategy), (_, replications) in zip(strategies, results):
+        for (name, gates), (_, replications) in zip(strategies, results):
             mean, halfwidth = aggregate(replications, "server")
-            exact = pooled_blocking(scaled, ports, strategy.gates)
+            exact = pooled_blocking(scaled, ports, gates)
             assert abs(mean - exact) <= max(0.01, 3 * halfwidth), (
                 f"point {point} {name}: simulated {mean:.5f} +- {halfwidth:.5f}, "
                 f"exact {exact:.5f}"

@@ -11,10 +11,7 @@ ports of all partitions are busy; which partition's port it takes changes
 no count, so the engine keeps no home partition and no probe order.
 
 A run is strictly single-threaded and a pure function of its arguments.
-Runs given one drawn stream share its memo of the per-class counts of the
-arrivals from the first counted one on: a pure function of the stream and
-that index, which keys it and is stored with it in one assignment, so
-these runs too may execute concurrently.
+Runs may share one drawn stream, which none of them changes.
 """
 
 from __future__ import annotations
@@ -214,12 +211,13 @@ def _flags(
     below 1.0, which every uniform in [0, 1) passes, are gate uniforms drawn,
     one per arrival in order, from ``default_rng(SeedSequence([_GATE_TAG, seed]))``.
     """
-    if min(gates or (1.0,)) >= 1.0:
+    low = 1.0 if gates is None else min(gates, default=1.0)
+    if low >= 1.0:
         return None, _admission(stream.time, stream.hold, ports)
     top = max(gates)
     u = np.random.default_rng(np.random.SeedSequence([_GATE_TAG, seed])).random(len(stream))
     passed = (u < top).nonzero()[0]
-    if min(gates) < top:
+    if low < top:
         # u < gates[c] implies u < top, so the classes' own gates only thin these
         passed = passed[u.take(passed) < np.array(gates).take(stream.class_id.take(passed))]
     del u  # n doubles, freed before the takes and the admission
@@ -270,11 +268,7 @@ def run(
     # times are sorted, so the counted arrivals (at or after warmup) are a suffix
     first = int(stream.time.searchsorted(warmup))
     classes = stream.class_id[first:]
-    # one read of the memo, which a run in another thread may replace whole
-    counted_from, offered = stream._offered
-    if counted_from != first:
-        offered = tuple(np.bincount(classes, minlength=num_classes).tolist())
-        object.__setattr__(stream, "_offered", (first, offered))
+    offered = np.bincount(classes, minlength=num_classes).tolist()
     passed, admitted = _flags(stream, strategy, seed, sum(capacities))
     entered = offered
     if passed is not None:  # ascending, so its counted arrivals are a suffix too

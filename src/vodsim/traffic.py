@@ -113,7 +113,8 @@ class ArrivalStream:
 
     Arrival i comes at ``time[i]``, holds a port for ``hold[i]`` seconds if
     admitted, and belongs to class ``class_id[i]``. A cluster's steady and
-    interactive arrivals share its class id and are not told apart.
+    interactive arrivals share its class id and are not told apart. Nothing
+    writes to a drawn stream, so any number of runs may share it.
     """
 
     time: np.ndarray
@@ -123,9 +124,6 @@ class ArrivalStream:
     # with read-only arrays; None for a stream built by a caller, which
     # ``engine.run`` refuses
     _drawn_for: tuple | None = field(default=None, init=False, repr=False)
-    # ``engine.run``'s memo of the per-class arrival counts from one index
-    # on, as (index, counts), so the strategies run on one stream count once
-    _offered: tuple = field(default=(-1, ()), init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.time)

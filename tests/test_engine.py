@@ -1,6 +1,7 @@
 """Tests for strategies and full simulation runs, and for the per-partition
 reference engine that ``run`` is checked against."""
 
+import dataclasses
 import math
 import random
 from dataclasses import replace
@@ -24,7 +25,7 @@ from reference_engine import (
     reference_run,
     release,
 )
-from vodsim.analytic import erlang_b
+from vodsim.analytic import erlang_b, pooled_blocking
 from vodsim.config import POINT_SEED_STRIDE, ScenarioConfig, parse_config
 from vodsim.engine import (
     _ROUNDS_MIN_PORTS,
@@ -215,6 +216,23 @@ class TestEffectiveGate:
         for bad in (1.5, -0.5, float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigurationError, match=r"gate\[1\] = .* outside"):
                 run(w, [1], (0.5, bad), 100.0, 0.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "gates",
+        [(0.3, 0.0, 0.3), (1 / 3,) * 3, (1.0,) * 3],
+        ids=["per_class", "uniform", "all_pass"],
+    )
+    @pytest.mark.parametrize("ports", [3, _ROUNDS_MIN_PORTS])
+    def test_gates_as_array_list_or_tuple_run_alike(self, gates, ports):
+        # _check_gates takes any sequence of gates, so run and
+        # pooled_blocking take a numpy array as they take a tuple
+        w = make_workload(2.0 * ports / 3, 1.5, num_clusters=3)
+        forms = (np.array(gates), list(gates), gates)
+        runs = [run(w, [ports], g, 60.0, 10.0, 7) for g in forms]
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0].offered > 0
+        blocking = [pooled_blocking(w, ports, g) for g in forms]
+        assert blocking[0] == blocking[1] == blocking[2]
 
 
 class TestRun:
@@ -672,10 +690,10 @@ def test_drawn_stream_runs_as_its_checked_copy(ports):
 
 
 @pytest.mark.parametrize("ports", [3, _ROUNDS_MIN_PORTS])
-def test_runs_on_one_stream_share_offered_counts_per_first_counted_arrival(ports):
-    # the stream keeps the offered counts of its last run, keyed by the
-    # first counted arrival: a run at another warmup counts afresh, one at
-    # the same warmup takes them, and each equals a run on a fresh stream
+def test_runs_on_one_stream_at_two_warmups_equal_runs_on_fresh_streams(ports):
+    # both strategies at two warmups on one stream, in an order where a run
+    # follows one at another warmup and one at its own: each counts as a
+    # run that draws its own stream
     w = make_workload(2.0 * ports / 3, 1.5, num_clusters=3)
     s = merged_arrival_stream(w.with_seed(9), 200.0)
     policy = (1.0, 0.5, 0.2)
@@ -685,6 +703,20 @@ def test_runs_on_one_stream_share_offered_counts_per_first_counted_arrival(ports
         assert m == run(w, [ports], strategy, 200.0, warmup, 9)
     assert shared[0].offered > shared[1].offered == shared[2].offered
     assert shared[1].policed > 0 and shared[2].blocked > 0
+
+
+@pytest.mark.parametrize("ports", [3, _ROUNDS_MIN_PORTS])
+def test_runs_leave_their_stream_as_drawn(ports):
+    # a drawn stream is its three arrays and what it was drawn for, and no
+    # run writes to it
+    w = make_workload(2.0 * ports / 3, 1.5, num_clusters=3)
+    s = merged_arrival_stream(w.with_seed(9), 200.0)
+    before = {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
+    for warmup in (0.0, 80.0):
+        for strategy in (UNCONTROLLED_STRATEGY, (1.0, 0.5, 0.2)):
+            run(w, [ports], strategy, 200.0, warmup, 9, stream=s)
+    assert all(getattr(s, name) is value for name, value in before.items())
+    assert list(before) == ["time", "hold", "class_id", "_drawn_for"]
 
 
 @pytest.mark.parametrize(

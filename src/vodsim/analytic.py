@@ -19,10 +19,6 @@ from .errors import ConfigurationError, InternalConsistencyError
 if TYPE_CHECKING:
     from .traffic import WorkloadSpec
 
-# erlang_b_direct is only supported where every factorial in the sum fits a
-# double (170! is the largest); beyond that the recurrence must be used.
-_DIRECT_CAPACITY_LIMIT = 170
-
 
 def _check_load(erlangs: float) -> float:
     """Offered traffic in erlangs (arrival rate times mean holding time)."""
@@ -77,18 +73,14 @@ def erlang_b(load: float, capacity: int) -> float:
 
 
 def erlang_b_direct(load: float, capacity: int) -> float:
-    """Erlang-B evaluated from the literal factorial sum.
+    """Erlang-B from the literal sum of E^k / k! for k = 0..C.
 
-    Kept as an independent oracle for :func:`erlang_b`; only valid for
-    capacities up to 170 where the factorial still fits in a double.
+    An independent oracle for :func:`erlang_b`. Each term is the previous
+    one times E / k, so no factorial is formed; the only limit is a sum
+    that overflows a double, which raises ``ValueError``.
     """
     e = _check_load(load)
     c = _check_capacity(capacity)
-    if c > _DIRECT_CAPACITY_LIMIT:
-        raise ValueError(
-            f"capacity {c} exceeds the factorial guard "
-            f"({_DIRECT_CAPACITY_LIMIT}); use erlang_b (recurrence form) instead"
-        )
     terms = [1.0]  # e^0 / 0!
     for k in range(1, c + 1):
         terms.append(terms[-1] * e / k)

@@ -138,8 +138,8 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
     whichever partition it lands on, so the server is a full-availability
     loss system and its blocking is Erlang-B of the total offered load on
     N ports, for any partition layout and any holding-time distribution.
-    The simulation always runs uncontrolled, since the closed form
-    describes the ungated server.
+    The command compares the uncontrolled run; ``pooled_blocking`` is exact
+    behind policy gates too, and ROADMAP item 2 adds the policy check.
     """
     if not tolerance >= 0:
         raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")

@@ -77,14 +77,14 @@ def aggregate(replications: Sequence, scope: str = "server") -> tuple[float, flo
 
     A single replication yields a degenerate interval (halfwidth 0).
     """
-    if len(replications) == 0:
-        raise ValueError("aggregate requires at least one replication")
     values = [blocking_probability(m, scope) for m in replications]
     return _mean_and_halfwidth(values)
 
 
 def _mean_and_halfwidth(values: Sequence[float]) -> tuple[float, float]:
     n = len(values)
+    if n == 0:
+        raise ValueError("replication statistics need at least one replication")
     mean = math.fsum(values) / n
     if n < 2:
         return mean, 0.0

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vodsim.analytic import (
     _check_capacity,
+    _checked_probability,
     chain_blocking,
     erlang_b,
     erlang_b_direct,
@@ -14,9 +15,10 @@ from vodsim.analytic import (
     policy_admission_prob,
     pooled_blocking,
 )
+from vodsim.config import parse_config
 from vodsim.engine import run
-from vodsim.errors import ConfigurationError
-from vodsim.traffic import ClusterSpec, WorkloadSpec
+from vodsim.errors import ConfigurationError, InternalConsistencyError
+from vodsim.traffic import ClusterSpec, WorkloadSpec, scale_workload
 
 # Bounded so the recurrence never underflows to exactly 0, which would
 # break strict-monotonicity assertions on denormal-range values.
@@ -123,14 +125,10 @@ class TestErlangBDirect:
         assert erlang_b_direct(0.0, 3) == 0.0
         assert erlang_b_direct(1.0, 0) == 1.0
 
-    def test_capacity_guard_names_alternative(self):
-        with pytest.raises(ValueError, match="recurrence"):
-            erlang_b_direct(1.0, 171)
-
-    @pytest.mark.parametrize("e", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
-    def test_oracle_equivalence_grid(self, e):
-        for c in range(21):
-            assert abs(erlang_b(e, c) - erlang_b_direct(e, c)) < 1e-12
+    def test_overflowing_sum_names_alternative(self):
+        # 1000^k / k! passes the largest double near k = 1000
+        with pytest.raises(ValueError, match="overflowed.*use erlang_b"):
+            erlang_b_direct(1000.0, 1000)
 
 
 class TestPooledBlocking:
@@ -165,6 +163,24 @@ class TestPooledBlocking:
         with pytest.raises(ConfigurationError) as simulated:
             run(w, [4], (0.5, bad), 10.0, 0.0, seed=0)
         assert str(analytic.value) == str(simulated.value) == f"gate[1] = {bad} is outside [0, 1]"
+
+    def test_reference_server_equals_literal_sum(self):
+        # the reference sweep's 300 ports: the literal sum is finite on its
+        # first 7 points (265.7 to 1,062.9 erlangs) and overflows above them
+        config = parse_config("")
+        base = config.workload()
+        ports = sum(config.capacities())
+        checked = 0
+        for cluster in base.clusters:
+            scaled = scale_workload(base, cluster.traffic_rate / config.min_rate)
+            try:
+                direct = erlang_b_direct(scaled.offered_erlangs(), ports)
+            except ValueError as exc:
+                assert "overflowed" in str(exc)
+                continue
+            assert pooled_blocking(scaled, ports) == pytest.approx(direct, rel=1e-12, abs=0)
+            checked += 1
+        assert (ports, checked) == (300, 7)
 
     def test_gate_above_one_is_refused_where_its_load_is_in_range(self):
         # 2 erlangs through a gate of 2.0 would be 4 erlangs on 2 ports, 0.6154
@@ -219,6 +235,10 @@ class TestFreePortSelection:
         with pytest.raises(ValueError):
             free_port_selection_prob(2, 3, 10, 0)
 
+    def test_rejects_no_partitions(self):
+        with pytest.raises(ValueError, match="partition count k must be >= 1, got 0"):
+            free_port_selection_prob(0, 1, 10, 0)
+
     @given(
         st.integers(min_value=1, max_value=40),
         st.data(),
@@ -252,6 +272,12 @@ class TestPolicyWeights:
         assert thinned == pytest.approx([0.25, 0.15, 0.1], abs=1e-12)
 
 
+def test_out_of_range_result_is_an_internal_error():
+    # a formula bug surfaces instead of being clamped
+    with pytest.raises(InternalConsistencyError, match=r"x produced 1.5, outside \[0, 1\]"):
+        _checked_probability(1.5, "x")
+
+
 class TestPolicyAdmission:
     def test_unit_weight_is_identity(self):
         assert policy_admission_prob(1.0, 0.125) == 0.125
@@ -278,7 +304,12 @@ class TestPolicyAdmission:
 @settings(max_examples=30)
 @given(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
-    st.integers(min_value=0, max_value=170),
+    st.integers(min_value=0, max_value=1000),
 )
 def test_direct_and_recurrence_agree_wherever_direct_is_defined(e, c):
-    assert erlang_b(e, c) == pytest.approx(erlang_b_direct(e, c), rel=1e-9, abs=1e-12)
+    try:
+        direct = erlang_b_direct(e, c)
+    except ValueError as exc:
+        assume("overflowed" not in str(exc))  # skip a sum past the largest double
+        raise
+    assert erlang_b(e, c) == pytest.approx(direct, rel=1e-9, abs=1e-12)

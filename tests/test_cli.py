@@ -1,7 +1,10 @@
 """Tests for sweep orchestration, analytic comparison, and the CLI surface."""
 
+import errno
 import hashlib
+import os
 import random
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -9,6 +12,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+import scipy.stats
 
 import vodsim.cli
 import vodsim.engine
@@ -118,6 +122,27 @@ class TestRunSweep:
                 assert (m.offered, m.admitted, m.policed, m.blocked) == counts
                 assert m.per_class == (counts,)
                 assert m.seed == whole.seed
+
+    def test_per_cluster_classes_share_one_blocking(self):
+        # Pooled admission never reads a class, and each arrival's class is
+        # drawn apart from the times and from every other arrival, so in a
+        # per_cluster sweep a class is independent of its outcome and a
+        # chi-square test of independence applies to the summed counts. At 3x
+        # the reference load: at 1x only 2 of 22,113 arrivals are blocked.
+        config = parse_config(
+            "sweep_mode = per_cluster\nmin_rate = 3.0\nmax_rate = 46.5\nseed = 42\n"
+        )
+        outcomes = {
+            "uncontrolled": lambda m: (m.blocked, m.admitted),
+            "policy-uniform-literal": lambda m: (m.policed, m.offered - m.policed),
+        }
+        tables = {name: [] for name in outcomes}
+        for p in run_sweep(config):
+            cells = [outcomes[p.strategy](m) for m in p.replications]
+            tables[p.strategy].append([sum(column) for column in zip(*cells)])
+        for name, table in tables.items():
+            assert len(table) == 30
+            assert scipy.stats.chi2_contingency(table).pvalue > 0.001, name
 
     def test_conservation_in_every_replication(self):
         for p in run_sweep(small_config()):
@@ -347,6 +372,59 @@ class TestMainCli:
         out = capsys.readouterr().out
         assert "analytic blocking:   0.400000" in out
         assert "PASS" in out
+
+    def test_seed_option_overrides_the_config_seed(self, tmp_path):
+        # --seed 7 writes what a config with seed = 7 writes, not SMALL's seed 5
+        outputs = {}
+        for name, text, option in [
+            ("config-5", SMALL, []),
+            ("option-7", SMALL, ["--seed", "7"]),
+            ("config-7", SMALL.replace("seed = 5", "seed = 7"), []),
+        ]:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / f"{name}.csv"
+            assert main(["run", "--config", str(cfg), *option, "--out", str(out)]) == 0
+            outputs[name] = out.read_bytes()
+        assert outputs["option-7"] == outputs["config-7"] != outputs["config-5"]
+
+    def test_seed_option_past_the_seed_range_exits_2(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        code = main(["run", "--config", config, "--seed", "18446744073709551615"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "configuration error: the last replication seed" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, tolerance):
+        config = self.write_config(tmp_path)
+        code = main(["compare-analytic", "--config", config, "--tolerance", tolerance])
+        assert code == 2
+        assert "configuration error: tolerance must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_failed_csv_write_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # a write that fails after the run, as on a full disk
+        def full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        config = self.write_config(tmp_path)
+        monkeypatch.setattr(Path, "write_text", full)
+        code = main([command, "--config", config, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: cannot write CSV" in err
+        assert os.strerror(errno.ENOSPC) in err
+
+    def test_module_entry_point_exits_with_the_code_of_main(self, tmp_path, monkeypatch):
+        # python -m vodsim, in this process
+        config = self.write_config(tmp_path)
+        argv = ["vodsim", "compare-analytic", "--config", config, "--tolerance", "-1"]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("vodsim", run_name="__main__")
+        assert exited.value.code == 2
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", self.write_config(tmp_path, "mystery = 1\n")])

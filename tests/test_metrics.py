@@ -186,6 +186,14 @@ class TestSweepPoint:
         p = SweepPoint.from_replications(1.0, 0.0, "uncontrolled", reps)
         assert p.mean_blocking is None
 
+    def test_no_replications_is_one_value_error_everywhere(self):
+        # a point with no replications has no mean, not a zero division
+        p = SweepPoint.from_replications(1.0, 2.0, "s", [])
+        message = "replication statistics need at least one replication"
+        for reduce in (lambda: aggregate([]), lambda: p.mean_blocking, lambda: to_csv([p])):
+            with pytest.raises(ValueError, match=message):
+                reduce()
+
 
 class TestToCsv:
     HEADER = (

@@ -283,6 +283,15 @@ class TestWorkloadSpec:
             assert np.array_equal(got.hold, expected.hold)
             assert np.array_equal(got.class_id, expected.class_id)
 
+    def test_cluster_list_is_held_as_a_tuple(self):
+        # a list of clusters is frozen, so the spec equals and hashes like
+        # the one built from a tuple
+        c = ClusterSpec(2.0, 1.5)
+        from_list = WorkloadSpec([c], 1.0, 0)
+        assert type(from_list.clusters) is tuple
+        assert from_list == WorkloadSpec((c,), 1.0, 0)
+        assert hash(from_list) == hash(WorkloadSpec((c,), 1.0, 0))
+
     def test_offered_erlangs_sums_rate_times_hold(self):
         c0 = ClusterSpec(2.0, 3.0)
         c1 = ClusterSpec(4.0, 1.5, interactive_rate=1.0)

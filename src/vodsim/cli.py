@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .analytic import pooled_blocking
 from .config import (
+    MAX_SWEEP_RECORDS,
     POINT_SEED_STRIDE,
     STRATEGY_CHOICES,
     SWEEP_PER_CLUSTER,
@@ -36,13 +37,15 @@ def _replications(
     config: ScenarioConfig,
     workload: WorkloadSpec,
     strategies: Sequence[tuple[str, Sequence[float] | None]],
+    traffic_rate: float,
     point_index: int = 0,
-) -> list[tuple[str, tuple[RunMetrics, ...]]]:
-    """Run the replications of sweep point ``point_index`` under each strategy.
+) -> list[SweepPoint]:
+    """Run sweep point ``point_index`` of ``workload``: its replications under
+    each strategy, as one SweepPoint per strategy at ``traffic_rate``.
 
     Replication r runs with seed + point_index * POINT_SEED_STRIDE + r. Its
     arrival stream is built once and every strategy runs on it; only one
-    stream is alive at a time. Returns (name, replications) per strategy.
+    stream is alive at a time. Every command's points come from here.
     """
     first = config.seed + point_index * POINT_SEED_STRIDE
     capacities = config.capacities()
@@ -57,7 +60,11 @@ def _replications(
                 )
             )
         del stream
-    return [(name, tuple(out)) for (name, _), out in zip(strategies, runs)]
+    offered = workload.offered_erlangs()
+    return [
+        SweepPoint.from_replications(traffic_rate, offered, name, out)
+        for (name, _), out in zip(strategies, runs)
+    ]
 
 
 def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
@@ -66,25 +73,24 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
     In global mode (the default) sweep point c scales every cluster's
     arrival rate by traffic_rate_c / min_rate, so the sweep traces system
     blocking against total offered load. In per_cluster mode the load is
-    fixed at the base scenario and each point reports one cluster's own
-    blocking.
+    fixed at the base scenario: the points are the classes of the base
+    scenario's runs, each reporting one cluster's own blocking.
     """
     base = config.workload()
     strategies = config.strategy_specs()
 
     if config.sweep_mode == SWEEP_PER_CLUSTER:
-        offered_total = base.offered_erlangs()
         points = []
-        for name, replications in _replications(config, base, strategies):
+        for p in _replications(config, base, strategies, config.max_rate):
             for class_id, cluster in enumerate(base.clusters):
                 # each run's class of this cluster as a run of its own, whose
                 # counts engine.run has checked
-                views = [(m.per_class[class_id], m.seed) for m in replications]
+                views = [(m.per_class[class_id], m.seed) for m in p.replications]
                 points.append(
                     SweepPoint.from_replications(
                         cluster.traffic_rate,
-                        offered_total,
-                        name,
+                        p.offered_erlangs,
+                        p.strategy,
                         (RunMetrics._make((*c, (c,), seed)) for c, seed in views),
                     )
                 )
@@ -94,27 +100,23 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
         raise ConfigurationError(
             "global sweep needs min_rate > 0 (load multipliers are relative to it)"
         )
+    records = config.num_clusters**2 * len(strategies) * config.replications
+    if records > MAX_SWEEP_RECORDS:
+        raise ConfigurationError(
+            f"a global sweep keeps num_clusters**2 * strategies * replications = "
+            f"{records:.3g} class records, more than {MAX_SWEEP_RECORDS:.0e}; "
+            "lower num_clusters or replications"
+        )
     points = []
     for point_index, cluster in enumerate(base.clusters):
         scaled = scale_workload(base, cluster.traffic_rate / config.min_rate)
-        offered = scaled.offered_erlangs()
-        for name, replications in _replications(config, scaled, strategies, point_index):
-            points.append(
-                SweepPoint.from_replications(
-                    cluster.traffic_rate, offered, name, replications
-                )
-            )
+        points += _replications(config, scaled, strategies, cluster.traffic_rate, point_index)
     return points
 
 
 def run_scenario(config: ScenarioConfig) -> list[SweepPoint]:
     """Run the base scenario (no load scaling) once per configured strategy."""
-    workload = config.workload()
-    offered = workload.offered_erlangs()
-    return [
-        SweepPoint.from_replications(config.max_rate, offered, name, replications)
-        for name, replications in _replications(config, workload, config.strategy_specs())
-    ]
+    return _replications(config, config.workload(), config.strategy_specs(), config.max_rate)
 
 
 @dataclass(frozen=True)
@@ -146,9 +148,10 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
     workload = config.workload()
     capacity = sum(config.capacities())
     analytic = pooled_blocking(workload, capacity)
-    [(_, replications)] = _replications(
-        config, workload, [(UNCONTROLLED, UNCONTROLLED_STRATEGY)]
+    [point] = _replications(
+        config, workload, [(UNCONTROLLED, UNCONTROLLED_STRATEGY)], config.max_rate
     )
+    replications = point.replications
     empty = sum(m.offered == 0 for m in replications)
     if 0 < empty < len(replications):
         raise ConfigurationError(
@@ -161,7 +164,7 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
         simulated, halfwidth = 0.0, 0.0
     difference = abs(simulated - analytic)
     return AnalyticComparison(
-        offered_erlangs=workload.offered_erlangs(),
+        offered_erlangs=point.offered_erlangs,
         capacity=capacity,
         analytic_blocking=analytic,
         simulated_blocking=simulated,
@@ -204,10 +207,10 @@ def _write_csv(path: str, points: list[SweepPoint]) -> None:
         Path(path).write_text(text, newline="\n")
     except OSError as exc:
         raise ConfigurationError(f"cannot write CSV {path}: {exc}") from None
+    print(f"wrote {path}")
 
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config)
+def _cmd_run(config: ScenarioConfig, args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.strategy is not None:
@@ -220,24 +223,20 @@ def _cmd_run(args) -> int:
     _print_points(config, points)
     if args.out is not None:
         _write_csv(args.out, points)
-        print(f"wrote {args.out}")
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
+def _cmd_sweep(config: ScenarioConfig, args) -> int:
     _check_out(args.out)
     points = run_sweep(config)
     print(f"sweep ({config.sweep_mode}): {config.num_clusters} points, "
           f"seed {config.seed}, {config.replications} replications per point")
     _print_points(config, points)
     _write_csv(args.out, points)
-    print(f"wrote {args.out}")
     return 0
 
 
-def _cmd_compare_analytic(args) -> int:
-    config = load_config(args.config)
+def _cmd_compare_analytic(config: ScenarioConfig, args) -> int:
     report = compare_analytic(config, args.tolerance)
     print(f"offered load:        {report.offered_erlangs:.6g} erlangs")
     print(f"ports:               {report.capacity}")
@@ -292,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(load_config(args.config), args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -25,11 +25,15 @@ BOTH = "both"
 STRATEGY_CHOICES = (UNCONTROLLED, POLICY, BOTH)
 PRESET_UNIFORM = "uniform"
 PRESET_CAPACITY = "capacity_proportional"
-PRESET_CHOICES = (PRESET_UNIFORM, PRESET_CAPACITY)
-SCALING_CHOICES = ("literal", "max_normalized")
 SWEEP_GLOBAL = "global"
 SWEEP_PER_CLUSTER = "per_cluster"
-SWEEP_CHOICES = (SWEEP_GLOBAL, SWEEP_PER_CLUSTER)
+# the allowed values of every str key
+_CHOICES = {
+    "strategy": STRATEGY_CHOICES,
+    "policy_preset": (PRESET_UNIFORM, PRESET_CAPACITY),
+    "weight_scaling": ("literal", "max_normalized"),
+    "sweep_mode": (SWEEP_GLOBAL, SWEEP_PER_CLUSTER),
+}
 
 # Spreads replication seeds of different sweep points apart: replication r
 # of point p runs with seed + p * POINT_SEED_STRIDE + r. The offset is part
@@ -43,8 +47,13 @@ POINT_SEED_STRIDE = 10007
 # and the heaviest run of the reference scenario expects about 19,000. The
 # workload builds one spec per cluster (MAX_COUNT caps clusters and
 # partitions alike), and compare-analytic's Erlang-B loops once per port.
+# A global sweep keeps every run of every point, and a run keeps one record
+# per class, so the sweep holds num_clusters**2 * strategies * replications
+# records of about 100 bytes each (tracemalloc, a 100-cluster sweep of
+# 80,000 records); 10**7 of them take about 1 GB.
 MAX_COUNT = 10**6
 MAX_RUN_ARRIVALS = 10**8
+MAX_SWEEP_RECORDS = 10**7
 MAX_PORTS = 10**7
 
 
@@ -53,6 +62,9 @@ class ScenarioConfig:
     """One complete scenario; defaults are the reference parameters.
 
     warmup defaults to 10% of the horizon when not set explicitly.
+    ``dataclasses.replace(c, horizon=...)`` keeps the resolved warmup
+    (``replace(parse_config(""), horizon=5000).warmup`` is 50.0, not 500.0);
+    pass ``warmup=None`` to re-derive it.
     threshold only annotates reports (pass/fail per sweep point); it never
     changes simulation behavior.
     """
@@ -132,24 +144,12 @@ class ScenarioConfig:
                 f"{POINT_SEED_STRIDE} + replications - 1 = {last_seed}, must be "
                 f"below 2**64",
             ),
-            (
-                self.strategy in STRATEGY_CHOICES,
-                f"strategy must be one of {STRATEGY_CHOICES}",
-            ),
-            (
-                self.policy_preset in PRESET_CHOICES,
-                f"policy_preset must be one of {PRESET_CHOICES}",
-            ),
-            (
-                self.weight_scaling in SCALING_CHOICES,
-                f"weight_scaling must be one of {SCALING_CHOICES}",
+            *(
+                (getattr(self, key) in choices, f"{key} must be one of {choices}")
+                for key, choices in _CHOICES.items()
             ),
             (0 <= self.threshold <= 1, "threshold must be a probability"),
             (self.interactive_rate >= 0, "interactive_rate must be >= 0"),
-            (
-                self.sweep_mode in SWEEP_CHOICES,
-                f"sweep_mode must be one of {SWEEP_CHOICES}",
-            ),
         ]
         for ok, message in checks:
             if not ok:

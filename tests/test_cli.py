@@ -18,9 +18,9 @@ import vodsim.cli
 import vodsim.engine
 import vodsim.traffic
 from vodsim.cli import compare_analytic, main, run_scenario, run_sweep
-from vodsim.config import STRATEGY_CHOICES, ScenarioConfig, parse_config
+from vodsim.config import STRATEGY_CHOICES, ScenarioConfig, load_config, parse_config
 from vodsim.errors import ConfigurationError, InternalConsistencyError
-from vodsim.metrics import to_csv
+from vodsim.metrics import aggregate, to_csv
 
 SMALL = """
 num_clusters = 2
@@ -165,6 +165,37 @@ class TestRunSweep:
             assert p.replications == u.replications
             assert all(m.policed == 0 for m in p.replications)
 
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("simulated a sweep past the record bound")
+
+        for module in (vodsim.cli, vodsim.engine):
+            monkeypatch.setattr(module, "run", never)
+        for module in (vodsim.cli, vodsim.engine, vodsim.traffic):
+            monkeypatch.setattr(module, "merged_arrival_stream", never)
+
+    def test_global_sweep_past_the_record_bound_exits_2(self, tmp_path, capsys, no_runs):
+        # 600**2 * 2 strategies * 20 replications = 1.44e7 class records
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("num_clusters = 600\nhorizon = 1\n")
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "num_clusters" in captured.err and "replications" in captured.err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_record_bound_admits_exactly_its_records(self, monkeypatch, no_runs):
+        # 500**2 * 2 strategies * 20 replications is the bound itself
+        monkeypatch.setattr(vodsim.cli, "_replications", lambda *args: [])
+        config = parse_config("num_clusters = 500\nhorizon = 1\n")
+        assert run_sweep(config) == []
+        with pytest.raises(ConfigurationError, match="num_clusters"):
+            run_sweep(replace(config, replications=21))
+        # a per-cluster sweep holds one point's runs, so it has no such bound
+        assert run_sweep(replace(config, replications=21, sweep_mode="per_cluster")) == []
+
     def test_golden_variant_digest(self, tmp_path):
         cfg = tmp_path / "variant.cfg"
         cfg.write_text(GOLDEN_VARIANT)
@@ -288,6 +319,19 @@ class TestCompareAnalytic:
         report = compare_analytic(config)
         assert report.analytic_blocking == 1.0
         assert report.simulated_blocking == 1.0
+
+    @pytest.mark.parametrize(
+        "config",
+        [load_config(CONFIGS / "erlang_check.cfg"), parse_config(SMALL)],
+        ids=["erlang-check", "small"],
+    )
+    def test_is_the_uncontrolled_point_of_run(self, config):
+        report = compare_analytic(config)
+        [p] = run_scenario(replace(config, strategy="uncontrolled"))
+        assert (report.simulated_blocking, report.ci95_halfwidth) == aggregate(
+            p.replications, "server"
+        )
+        assert report.offered_erlangs == p.offered_erlangs
 
     def test_multi_partition_compares_against_all_ports(self):
         # two partitions of one port pool into one Erlang-B system on 2 ports

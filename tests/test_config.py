@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import vodsim.config
 from vodsim.cli import compare_analytic, main
 from vodsim.config import ScenarioConfig, load_config, parse_config
 from vodsim.errors import ConfigurationError
@@ -88,12 +89,15 @@ class TestParseErrors:
         with pytest.raises(ConfigurationError, match="min_hold.*line 1"):
             parse_config("min_hold = 300\n")
 
-    @pytest.mark.parametrize(
-        "key", ["strategy", "policy_preset", "weight_scaling", "sweep_mode"]
-    )
+    @pytest.mark.parametrize("key", sorted(vodsim.config._CHOICES))
     def test_bad_choice_rejected(self, key):
         with pytest.raises(ConfigurationError, match=rf"{key} must be one of.*line 1"):
             parse_config(f"{key} = sometimes\n")
+
+    def test_every_str_key_has_its_choices(self):
+        # a new str key without choices would take any value
+        str_keys = {key for key, kind in vodsim.config._PARSERS.items() if kind is str}
+        assert str_keys == set(vodsim.config._CHOICES)
 
     def test_warmup_at_horizon_rejected(self):
         with pytest.raises(ConfigurationError, match="warmup"):

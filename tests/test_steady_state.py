@@ -29,10 +29,11 @@ def test_sweep_points_match_pooled_blocking():
     strategies = config.strategy_specs()
     assert len(strategies) == 2
     for point in POINTS:
-        scaled = scale_workload(base, base.clusters[point].traffic_rate / config.min_rate)
-        results = _replications(config, scaled, strategies, point)
-        for (name, gates), (_, replications) in zip(strategies, results):
-            mean, halfwidth = aggregate(replications, "server")
+        rate = base.clusters[point].traffic_rate
+        scaled = scale_workload(base, rate / config.min_rate)
+        results = _replications(config, scaled, strategies, rate, point)
+        for (name, gates), p in zip(strategies, results, strict=True):
+            mean, halfwidth = aggregate(p.replications, "server")
             exact = pooled_blocking(scaled, ports, gates)
             assert abs(mean - exact) <= max(0.01, 3 * halfwidth), (
                 f"point {point} {name}: simulated {mean:.5f} +- {halfwidth:.5f}, "

@@ -21,9 +21,10 @@ from .metrics import (
     RunMetrics,
     SweepPoint,
     aggregate,
-    blocking_probability,
     policed_fraction,
+    server_blocking,
     to_csv,
+    total_denial,
 )
 from .traffic import (
     ArrivalStream,

@@ -29,8 +29,22 @@ from .config import (
 )
 from .engine import UNCONTROLLED, UNCONTROLLED_STRATEGY, run
 from .errors import ConfigurationError, InternalConsistencyError
-from .metrics import RunMetrics, SweepPoint, _stats, blocking_probability, to_csv
+from .metrics import RunMetrics, SweepPoint, aggregate, server_blocking, to_csv
 from .traffic import WorkloadSpec, merged_arrival_stream, scale_workload
+
+
+def _workload(config: ScenarioConfig, what: str, points: int, strategies: int) -> WorkloadSpec:
+    """The config's workload, built only once the class records that ``what``
+    keeps, one per class of every run of each of its points, are at most
+    MAX_SWEEP_RECORDS. Every command gets its workload from here."""
+    records = points * config.num_clusters * strategies * config.replications
+    if records > MAX_SWEEP_RECORDS:
+        raise ConfigurationError(
+            f"{what} keeps points * num_clusters * strategies * replications = "
+            f"{records:,} class records, more than {MAX_SWEEP_RECORDS:,}; "
+            "lower num_clusters or replications"
+        )
+    return config.workload()
 
 
 def _replications(
@@ -76,10 +90,9 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
     fixed at the base scenario: the points are the classes of the base
     scenario's runs, each reporting one cluster's own blocking.
     """
-    base = config.workload()
     strategies = config.strategy_specs()
-
     if config.sweep_mode == SWEEP_PER_CLUSTER:
+        base = _workload(config, "a per-cluster sweep", 1, len(strategies))
         points = []
         for p in _replications(config, base, strategies, config.max_rate):
             for class_id, cluster in enumerate(base.clusters):
@@ -100,13 +113,7 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
         raise ConfigurationError(
             "global sweep needs min_rate > 0 (load multipliers are relative to it)"
         )
-    records = config.num_clusters**2 * len(strategies) * config.replications
-    if records > MAX_SWEEP_RECORDS:
-        raise ConfigurationError(
-            f"a global sweep keeps num_clusters**2 * strategies * replications = "
-            f"{records:.3g} class records, more than {MAX_SWEEP_RECORDS:.0e}; "
-            "lower num_clusters or replications"
-        )
+    base = _workload(config, "a global sweep", config.num_clusters, len(strategies))
     points = []
     for point_index, cluster in enumerate(base.clusters):
         scaled = scale_workload(base, cluster.traffic_rate / config.min_rate)
@@ -116,7 +123,9 @@ def run_sweep(config: ScenarioConfig) -> list[SweepPoint]:
 
 def run_scenario(config: ScenarioConfig) -> list[SweepPoint]:
     """Run the base scenario (no load scaling) once per configured strategy."""
-    return _replications(config, config.workload(), config.strategy_specs(), config.max_rate)
+    strategies = config.strategy_specs()
+    workload = _workload(config, "a run", 1, len(strategies))
+    return _replications(config, workload, strategies, config.max_rate)
 
 
 @dataclass(frozen=True)
@@ -145,7 +154,7 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
     """
     if not tolerance >= 0:
         raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
-    workload = config.workload()
+    workload = _workload(config, "compare-analytic", 1, 1)
     capacity = sum(config.capacities())
     analytic = pooled_blocking(workload, capacity)
     [point] = _replications(
@@ -158,7 +167,7 @@ def compare_analytic(config: ScenarioConfig, tolerance: float = 0.02) -> Analyti
             f"{empty} of {len(replications)} replications offered no request after "
             "the warmup, so their blocking is undefined; raise the load or the horizon"
         )
-    simulated, halfwidth = _stats(replications, blocking_probability)
+    simulated, halfwidth = aggregate(replications, server_blocking)
     if simulated is None:
         # zero offered traffic in every replication: nothing was ever denied
         simulated, halfwidth = 0.0, 0.0
@@ -181,7 +190,7 @@ def _print_points(config: ScenarioConfig, points: list[SweepPoint]) -> None:
         f"{'ci95':>9} {'vs_threshold':>12}"
     )
     for p in sorted(points, key=lambda p: (p.traffic_rate, p.strategy)):
-        mean, halfwidth = _stats(p.replications, blocking_probability)
+        mean, halfwidth = aggregate(p.replications, server_blocking)
         if mean is None:
             blocking, ci, verdict = "n/a", "n/a", "n/a"
         else:

@@ -47,10 +47,11 @@ POINT_SEED_STRIDE = 10007
 # and the heaviest run of the reference scenario expects about 19,000. The
 # workload builds one spec per cluster (MAX_COUNT caps clusters and
 # partitions alike), and compare-analytic's Erlang-B loops once per port.
-# A global sweep keeps every run of every point, and a run keeps one record
-# per class, so the sweep holds num_clusters**2 * strategies * replications
-# records of about 100 bytes each (tracemalloc, a 100-cluster sweep of
-# 80,000 records); 10**7 of them take about 1 GB.
+# Every command keeps every run of each of its points, and a run keeps one
+# record per class, so it holds points * num_clusters * strategies *
+# replications records of about 100 bytes each (tracemalloc, a 100-cluster
+# sweep of 80,000 records); 10**7 of them take about 1 GB. A global sweep
+# has num_clusters points, every other command one.
 MAX_COUNT = 10**6
 MAX_RUN_ARRIVALS = 10**8
 MAX_SWEEP_RECORDS = 10**7

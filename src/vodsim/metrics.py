@@ -1,10 +1,12 @@
-"""Counters, blocking probabilities, replication statistics, CSV output.
+"""Counters, per-run metrics, replication statistics, CSV output.
 
-Two blocking scopes are reported everywhere: ``server`` is the fraction of
-requests that reached the partitions and found them all full, and
-``total_denial`` additionally counts requests rejected by the policy gate.
-A metric with a zero denominator raises ``UndefinedMetricError`` and is
-serialized as an absent value, never as 0.
+Three per-run metrics are reported everywhere, one per CSV column pair:
+``server_blocking`` is the fraction of requests that reached the partitions
+and found them all full, ``total_denial`` additionally counts requests
+rejected by the policy gate, and ``policed_fraction`` counts those alone.
+A metric with a zero denominator raises ``UndefinedMetricError``;
+``aggregate`` then reports no value, which the CSV writes as an empty
+field, never as 0.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import UndefinedMetricError
-
-SCOPES = ("server", "total_denial")
 
 _CSV_HEADER = (
     "traffic_rate_mbps,offered_erlangs,strategy,replications,"
@@ -42,49 +42,44 @@ RunMetrics.__doc__ = """Post-warmup counts of one simulation run: the totals, a
 which counts nested subsets of the arrivals, checks that every count is >= 0."""
 
 
-def blocking_probability(m, scope: str = "server") -> float:
-    """Blocking probability of one run (or one class) under the given scope.
-
-    server: blocked / (offered - policed), the loss seen by requests that
-    passed the gate. total_denial: (blocked + policed) / offered, every
-    way a request can be turned away.
-    """
-    if scope not in SCOPES:
-        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-    if scope == "server":
-        denominator = m.offered - m.policed
-        numerator = m.blocked
-    else:
-        denominator = m.offered
-        numerator = m.blocked + m.policed
+def _ratio(name: str, numerator: int, denominator: int) -> float:
     if denominator == 0:
-        raise UndefinedMetricError(
-            f"{scope} blocking undefined: zero denominator "
-            f"(offered={m.offered}, policed={m.policed})"
-        )
+        raise UndefinedMetricError(f"{name} undefined: zero denominator")
     return numerator / denominator
 
 
+def server_blocking(m) -> float:
+    """blocked / (offered - policed) of one run (or one class): the loss
+    seen by requests that passed the gate."""
+    return _ratio("server blocking", m.blocked, m.offered - m.policed)
+
+
+def total_denial(m) -> float:
+    """(blocked + policed) / offered of one run (or one class): every way a
+    request can be turned away."""
+    return _ratio("total denial", m.blocked + m.policed, m.offered)
+
+
 def policed_fraction(m) -> float:
-    """Fraction of offered requests the policy gate rejected."""
-    if m.offered == 0:
-        raise UndefinedMetricError("policed fraction undefined: no offered requests")
-    return m.policed / m.offered
+    """policed / offered of one run (or one class): the requests the policy
+    gate rejected."""
+    return _ratio("policed fraction", m.policed, m.offered)
 
 
-def aggregate(replications: Sequence, scope: str = "server") -> tuple[float, float]:
-    """Mean blocking over replications and a 95% normal-approximation halfwidth.
+def aggregate(replications: Sequence, metric) -> tuple[float | None, float | None]:
+    """Mean of ``metric`` over replications and its 95% normal-approximation
+    (``_Z95``) halfwidth, or (None, None) when the metric is undefined in
+    any replication.
 
     A single replication yields a degenerate interval (halfwidth 0).
     """
-    values = [blocking_probability(m, scope) for m in replications]
-    return _mean_and_halfwidth(values)
-
-
-def _mean_and_halfwidth(values: Sequence[float]) -> tuple[float, float]:
-    n = len(values)
+    n = len(replications)
     if n == 0:
         raise ValueError("replication statistics need at least one replication")
+    try:
+        values = [metric(m) for m in replications]
+    except UndefinedMetricError:
+        return None, None
     mean = math.fsum(values) / n
     if n < 2:
         return mean, 0.0
@@ -92,23 +87,14 @@ def _mean_and_halfwidth(values: Sequence[float]) -> tuple[float, float]:
     return mean, _Z95 * math.sqrt(variance) / math.sqrt(n)
 
 
-def _stats(replications: Sequence, metric) -> tuple[float | None, float | None]:
-    """(mean, halfwidth) of ``metric`` over replications, or (None, None)
-    when the metric is undefined in any replication."""
-    try:
-        return _mean_and_halfwidth([metric(m) for m in replications])
-    except UndefinedMetricError:
-        return None, None
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """The replications of one (traffic rate, strategy) sweep cell.
 
-    A point holds only its replications; every statistic is derived from
-    them by one function, as a mean with a 95% normal-quantile (1.96)
-    halfwidth. mean_blocking is server-scope and None when the metric was
-    undefined in some replication. Each read recomputes it.
+    A point holds only its replications; every statistic is ``aggregate``
+    of one per-run metric over them. mean_blocking is the mean
+    ``server_blocking``, None when that was undefined in some replication.
+    Each read recomputes it.
     """
 
     traffic_rate: float
@@ -118,7 +104,7 @@ class SweepPoint:
 
     @property
     def mean_blocking(self) -> float | None:
-        return _stats(self.replications, blocking_probability)[0]
+        return aggregate(self.replications, server_blocking)[0]
 
     @classmethod
     def from_replications(
@@ -146,11 +132,9 @@ def to_csv(points: Iterable[SweepPoint]) -> str:
     """
     lines = [_CSV_HEADER]
     for p in sorted(points, key=lambda p: (p.traffic_rate, p.strategy)):
-        server_mean, server_hw = _stats(p.replications, blocking_probability)
-        total_mean, total_hw = _stats(
-            p.replications, lambda m: blocking_probability(m, "total_denial")
-        )
-        policed_mean, _ = _stats(p.replications, policed_fraction)
+        server_mean, server_hw = aggregate(p.replications, server_blocking)
+        total_mean, total_hw = aggregate(p.replications, total_denial)
+        policed_mean, _ = aggregate(p.replications, policed_fraction)
         lines.append(
             ",".join(
                 (

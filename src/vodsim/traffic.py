@@ -96,10 +96,6 @@ class WorkloadSpec:
         spec.__dict__.update(self.__dict__, seed=seed)
         return spec
 
-    def total_arrival_rate(self) -> float:
-        """Sum of steady and interactive request rates, in requests/s."""
-        return sum(self.arrival_rates())
-
     def offered_erlangs(self) -> float:
         """Total offered load: sum over clusters of arrival rate times mean hold."""
         return sum(

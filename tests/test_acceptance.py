@@ -27,7 +27,7 @@ from vodsim.analytic import (
 from vodsim.cli import run_sweep
 from vodsim.config import parse_config
 from vodsim.engine import UNCONTROLLED_STRATEGY, run
-from vodsim.metrics import aggregate
+from vodsim.metrics import aggregate, server_blocking
 from vodsim.traffic import ClusterSpec, WorkloadSpec, merged_arrival_stream
 
 
@@ -82,7 +82,7 @@ def test_criterion_3_simulation_matches_erlang_b():
                 run(workload, [2], UNCONTROLLED_STRATEGY, 5_000.0, 500.0, base_seed + r)
                 for r in range(20)
             ]
-            mean, halfwidth = aggregate(replications, "server")
+            mean, halfwidth = aggregate(replications, server_blocking)
             assert mean == pytest.approx(target, abs=0.02)
             if mean - halfwidth <= target <= mean + halfwidth:
                 covered += 1
@@ -112,7 +112,7 @@ def test_criterion_5_superposition_is_poisson():
         start = time.perf_counter()
         config = replace(parse_config(""), seed=23)
         workload = config.workload()
-        total_rate = workload.total_arrival_rate()
+        total_rate = sum(workload.arrival_rates())
         n = 10_000
         stream = merged_arrival_stream(workload, (n + 1_000) / total_rate)
         gaps = np.diff(stream.time, prepend=0.0)[:n]

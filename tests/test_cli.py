@@ -15,12 +15,26 @@ import pytest
 import scipy.stats
 
 import vodsim.cli
+import vodsim.config
 import vodsim.engine
 import vodsim.traffic
 from vodsim.cli import compare_analytic, main, run_scenario, run_sweep
-from vodsim.config import STRATEGY_CHOICES, ScenarioConfig, load_config, parse_config
+from vodsim.config import (
+    _PARSERS,
+    STRATEGY_CHOICES,
+    ScenarioConfig,
+    load_config,
+    parse_config,
+)
 from vodsim.errors import ConfigurationError, InternalConsistencyError
-from vodsim.metrics import aggregate, to_csv
+from vodsim.metrics import (
+    ClassCounts,
+    RunMetrics,
+    SweepPoint,
+    aggregate,
+    server_blocking,
+    to_csv,
+)
 
 SMALL = """
 num_clusters = 2
@@ -193,8 +207,63 @@ class TestRunSweep:
         assert run_sweep(config) == []
         with pytest.raises(ConfigurationError, match="num_clusters"):
             run_sweep(replace(config, replications=21))
-        # a per-cluster sweep holds one point's runs, so it has no such bound
+        # a per-cluster sweep holds one point's runs, 500 * 2 * 21 records
         assert run_sweep(replace(config, replications=21, sweep_mode="per_cluster")) == []
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("run", "num_clusters = 250001\n"),
+            ("sweep", "num_clusters = 250001\nsweep_mode = per_cluster\n"),
+            ("compare-analytic", "num_clusters = 500001\n"),
+        ],
+        ids=["run", "per-cluster-sweep", "compare-analytic"],
+    )
+    def test_every_command_past_the_record_bound_exits_2(
+        self, tmp_path, capsys, monkeypatch, no_runs, command, text
+    ):
+        # one point: 250001 * 2 strategies * 20 replications, or
+        # 500001 * 1 strategy * 20 replications, just past 10**7 records
+        def never(**kwargs):
+            raise AssertionError("built a workload past the record bound")
+
+        for module in (vodsim.config, vodsim.traffic):
+            monkeypatch.setattr(module, "build_workload", never)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(text + "horizon = 1\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "class records" in captured.err and "num_clusters" in captured.err
+
+    def test_every_command_runs_at_the_record_bound(self, monkeypatch, no_runs):
+        # one cluster, so the replications alone reach 10**7 records
+        def one_point(config, workload, strategies, traffic_rate, point_index=0):
+            counts = ClassCounts(1, 1, 0, 0)
+            runs = (RunMetrics(*counts, (counts,), config.seed),)
+            return [
+                SweepPoint.from_replications(traffic_rate, 1.0, name, runs)
+                for name, _ in strategies
+            ]
+
+        monkeypatch.setattr(vodsim.cli, "_replications", one_point)
+        both = parse_config("num_clusters = 1\nhorizon = 1\nreplications = 5000000\n")
+        per_cluster = replace(both, sweep_mode="per_cluster")
+        single = replace(both, replications=10**7)
+        assert len(run_scenario(both)) == 2
+        assert len(run_sweep(per_cluster)) == 2
+        assert compare_analytic(single).simulated_blocking == 0.0
+        for call, config in [
+            (run_scenario, both),
+            (run_sweep, per_cluster),
+            (compare_analytic, single),
+        ]:
+            with pytest.raises(ConfigurationError, match="class records"):
+                call(replace(config, replications=config.replications + 1))
 
     def test_golden_variant_digest(self, tmp_path):
         cfg = tmp_path / "variant.cfg"
@@ -329,7 +398,7 @@ class TestCompareAnalytic:
         report = compare_analytic(config)
         [p] = run_scenario(replace(config, strategy="uncontrolled"))
         assert (report.simulated_blocking, report.ci95_halfwidth) == aggregate(
-            p.replications, "server"
+            p.replications, server_blocking
         )
         assert report.offered_erlangs == p.offered_erlangs
 
@@ -665,6 +734,7 @@ FUZZ_KEYS = [
     "horizon",
     "warmup",
     "seed",
+    "threshold",
     "interactive_rate",
 ]
 FUZZ_EDGES = ["0", "-1", "5e-324", "1e308", "nan", "inf"]
@@ -706,9 +776,14 @@ IN_RANGE_VALUES = {
     "strategy": ["uncontrolled", "policy", "both"],
     "policy_preset": ["uniform", "capacity_proportional"],
     "weight_scaling": ["literal", "max_normalized"],
+    "threshold": ["0", "0.05", "1"],
     "interactive_rate": ["0", "0.5"],
     "sweep_mode": ["global", "per_cluster"],
 }
+
+
+def test_in_range_values_name_every_config_key():
+    assert set(IN_RANGE_VALUES) == set(_PARSERS)
 
 
 def in_range_config(case):

@@ -37,7 +37,7 @@ from vodsim.engine import (
     run,
 )
 from vodsim.errors import ConfigurationError, InternalConsistencyError
-from vodsim.metrics import ClassCounts, RunMetrics, blocking_probability
+from vodsim.metrics import ClassCounts, RunMetrics, server_blocking
 from vodsim.traffic import (
     ArrivalStream,
     ClusterSpec,
@@ -318,7 +318,7 @@ class TestRun:
         # two erlangs offered to two ports: analytic blocking is 0.4
         w = make_workload(2.0, 1.0)
         m = run(w, [2], UNCONTROLLED_STRATEGY, 5_000.0, 500.0, seed=17)
-        sim = blocking_probability(m, "server")
+        sim = server_blocking(m)
         assert sim == pytest.approx(erlang_b(2.0, 2), abs=0.03)
 
     def test_policy_blocks_no_more_than_uncontrolled_here(self):
@@ -326,7 +326,7 @@ class TestRun:
         strategy = (0.5, 0.5)
         unc = run(w, [3], UNCONTROLLED_STRATEGY, 2_000.0, 200.0, seed=23)
         pol = run(w, [3], strategy, 2_000.0, 200.0, seed=23)
-        assert blocking_probability(pol, "server") <= blocking_probability(unc, "server")
+        assert server_blocking(pol) <= server_blocking(unc)
 
     def test_unit_gate_policy_equals_uncontrolled(self, monkeypatch):
         # every uniform in [0, 1) passes a gate of 1.0, so neither run draws
@@ -352,7 +352,7 @@ class TestRun:
         m_with = run(with_vcr, [1], UNCONTROLLED_STRATEGY, 2_000.0, 100.0, seed=3)
         m_without = run(without, [1], UNCONTROLLED_STRATEGY, 2_000.0, 100.0, seed=3)
         assert m_with.offered > m_without.offered
-        assert blocking_probability(m_with) > blocking_probability(m_without)
+        assert server_blocking(m_with) > server_blocking(m_without)
 
 
 def start_ends(ports, ends=()):

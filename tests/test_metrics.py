@@ -1,4 +1,4 @@
-"""Tests for counters, blocking scopes, aggregation, and CSV output."""
+"""Tests for counters, per-run metrics, aggregation, and CSV output."""
 
 import math
 import random
@@ -14,9 +14,10 @@ from vodsim.metrics import (
     RunMetrics,
     SweepPoint,
     aggregate,
-    blocking_probability,
     policed_fraction,
+    server_blocking,
     to_csv,
+    total_denial,
 )
 from vodsim.traffic import WorkloadSpec
 
@@ -87,38 +88,34 @@ class TestCountChecks:
 class TestBlockingProbability:
     def test_no_losses_is_zero_in_both_scopes(self):
         m = mk(100, 100, 0, 0)
-        assert blocking_probability(m, "server") == 0.0
-        assert blocking_probability(m, "total_denial") == 0.0
+        assert server_blocking(m) == 0.0
+        assert total_denial(m) == 0.0
 
     def test_pure_blocking_matches_both_scopes(self):
         m = mk(100, 60, 0, 40)
-        assert blocking_probability(m, "server") == pytest.approx(0.4)
-        assert blocking_probability(m, "total_denial") == pytest.approx(0.4)
+        assert server_blocking(m) == pytest.approx(0.4)
+        assert total_denial(m) == pytest.approx(0.4)
 
     def test_policed_requests_split_the_scopes(self):
         m = mk(100, 40, 50, 10)
-        assert blocking_probability(m, "server") == pytest.approx(0.2)
-        assert blocking_probability(m, "total_denial") == pytest.approx(0.6)
+        assert server_blocking(m) == pytest.approx(0.2)
+        assert total_denial(m) == pytest.approx(0.6)
 
     def test_zero_offered_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            blocking_probability(mk(0, 0, 0, 0), "server")
+            server_blocking(mk(0, 0, 0, 0))
         with pytest.raises(UndefinedMetricError):
-            blocking_probability(mk(0, 0, 0, 0), "total_denial")
+            total_denial(mk(0, 0, 0, 0))
 
     def test_everything_policed_makes_server_scope_undefined(self):
         m = mk(10, 0, 10, 0)
         with pytest.raises(UndefinedMetricError):
-            blocking_probability(m, "server")
-        assert blocking_probability(m, "total_denial") == 1.0
-
-    def test_unknown_scope_rejected(self):
-        with pytest.raises(ValueError):
-            blocking_probability(mk(1, 1, 0, 0), "both")
+            server_blocking(m)
+        assert total_denial(m) == 1.0
 
     def test_works_on_class_counts(self):
         c = ClassCounts(10, 6, 0, 4)
-        assert blocking_probability(c, "server") == pytest.approx(0.4)
+        assert server_blocking(c) == pytest.approx(0.4)
 
 
 class TestPolicedFraction:
@@ -133,18 +130,18 @@ class TestPolicedFraction:
 class TestAggregate:
     def test_identical_replications_have_zero_halfwidth(self):
         reps = [mk(100, 60, 0, 40, seed=s) for s in range(5)]
-        mean, hw = aggregate(reps, "server")
+        mean, hw = aggregate(reps, server_blocking)
         assert mean == pytest.approx(0.4)
         assert hw == 0.0
 
     def test_single_replication_is_degenerate(self):
-        mean, hw = aggregate([mk(100, 60, 0, 40)], "server")
+        mean, hw = aggregate([mk(100, 60, 0, 40)], server_blocking)
         assert mean == pytest.approx(0.4)
         assert hw == 0.0
 
     def test_two_values_normal_approximation(self):
         reps = [mk(10, 7, 0, 3, seed=0), mk(10, 5, 0, 5, seed=1)]
-        mean, hw = aggregate(reps, "server")
+        mean, hw = aggregate(reps, server_blocking)
         assert mean == pytest.approx(0.4)
         # 1.96 * stdev({0.3, 0.5}) / sqrt(2) = 1.96 * 0.14142 / 1.41421
         assert hw == pytest.approx(1.96 * math.sqrt(0.02) / math.sqrt(2), rel=1e-9)
@@ -152,14 +149,14 @@ class TestAggregate:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([], "server")
+            aggregate([], server_blocking)
 
     @given(st.lists(st.integers(min_value=0, max_value=10), min_size=2, max_size=8))
     def test_permutation_invariant(self, blocked_counts):
         reps = [mk(10, 10 - b, 0, b, seed=i) for i, b in enumerate(blocked_counts)]
         shuffled = reps[:]
         random.Random(1).shuffle(shuffled)
-        assert aggregate(reps, "server") == aggregate(shuffled, "server")
+        assert aggregate(reps, server_blocking) == aggregate(shuffled, server_blocking)
 
 
 @st.composite
@@ -190,7 +187,7 @@ class TestSweepPoint:
         # a point with no replications has no mean, not a zero division
         p = SweepPoint.from_replications(1.0, 2.0, "s", [])
         message = "replication statistics need at least one replication"
-        for reduce in (lambda: aggregate([]), lambda: p.mean_blocking, lambda: to_csv([p])):
+        for reduce in (lambda: aggregate([], server_blocking), lambda: p.mean_blocking, lambda: to_csv([p])):
             with pytest.raises(ValueError, match=message):
                 reduce()
 
@@ -258,19 +255,17 @@ class TestToCsv:
         server_undefined = any(m.offered == m.policed for m in reps)
         offered_undefined = any(m.offered == 0 for m in reps)
         if server_undefined:
-            with pytest.raises(UndefinedMetricError):
-                aggregate(reps, "server")
+            assert aggregate(reps, server_blocking) == (None, None)
             assert p.mean_blocking is None
             assert row[4:6] == ["", ""]
         else:
-            server = aggregate(reps, "server")
+            server = aggregate(reps, server_blocking)
             assert p.mean_blocking == server[0]
             assert row[4:6] == [f"{v:.12g}" for v in server]
         if offered_undefined:
-            with pytest.raises(UndefinedMetricError):
-                aggregate(reps, "total_denial")
+            assert aggregate(reps, total_denial) == (None, None)
             assert row[6:9] == ["", "", ""]
         else:
-            total = aggregate(reps, "total_denial")
+            total = aggregate(reps, total_denial)
             policed = math.fsum(m.policed / m.offered for m in reps) / len(reps)
             assert row[6:9] == [f"{v:.12g}" for v in (*total, policed)]

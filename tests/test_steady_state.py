@@ -12,7 +12,7 @@ from pathlib import Path
 from vodsim.analytic import pooled_blocking
 from vodsim.cli import _replications
 from vodsim.config import load_config
-from vodsim.metrics import aggregate
+from vodsim.metrics import aggregate, server_blocking
 from vodsim.traffic import scale_workload
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "steady_state.cfg"
@@ -33,7 +33,7 @@ def test_sweep_points_match_pooled_blocking():
         scaled = scale_workload(base, rate / config.min_rate)
         results = _replications(config, scaled, strategies, rate, point)
         for (name, gates), p in zip(strategies, results, strict=True):
-            mean, halfwidth = aggregate(p.replications, "server")
+            mean, halfwidth = aggregate(p.replications, server_blocking)
             exact = pooled_blocking(scaled, ports, gates)
             assert abs(mean - exact) <= max(0.01, 3 * halfwidth), (
                 f"point {point} {name}: simulated {mean:.5f} +- {halfwidth:.5f}, "

@@ -64,6 +64,8 @@ replications = 2
 GOLDEN_VARIANT_SHA256 = "abb6e5edd94ccd9037120ec83086c877eca35053fbd83d27c17c65b828426acf"
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# a child interpreter that imports this tree's package
+SRC_ENV = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}
 
 
 def small_config(**overrides):
@@ -538,6 +540,36 @@ class TestMainCli:
         with pytest.raises(SystemExit) as exited:
             runpy.run_module("vodsim", run_name="__main__")
         assert exited.value.code == 2
+
+    def test_cli_module_runs_once_without_a_warning(self):
+        # python -m vodsim.cli: runpy warns, and runs cli.py a second time,
+        # when importing the package has already imported vodsim.cli
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "vodsim.cli",
+             "compare-analytic", "--config", str(CONFIGS / "erlang_check.cfg"),
+             "--tolerance", "0.02"],
+            capture_output=True,
+            text=True,
+            env=SRC_ENV,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines().count("result:              PASS") == 1
+        assert result.stderr == ""
+
+    def test_library_use_imports_neither_the_cli_nor_argparse(self):
+        code = (
+            "import sys, vodsim.config, vodsim.engine\n"
+            "c = vodsim.config.ScenarioConfig()\n"
+            "m = vodsim.engine.run(c.workload(), c.capacities(), None,"
+            " c.horizon, c.warmup, c.seed)\n"
+            "print(m.offered > 0,"
+            " sorted({'vodsim.cli', 'argparse'} & sys.modules.keys()))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True []\n"
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", self.write_config(tmp_path, "mystery = 1\n")])
